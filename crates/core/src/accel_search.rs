@@ -97,8 +97,8 @@ impl AccelSearchConfig {
 }
 
 /// One candidate's complete evaluation — what flows up from the cost
-/// layer through every seam (local pool, `evaluate_shard` wire,
-/// coordinator merge) before anything is collapsed.
+/// layer before anything is collapsed. The local pool commits it whole;
+/// the `evaluate_shard` wire carries only its [`CandidateScore`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CandidateEval {
     /// Mapping-searched whole-suite cost per benchmark network, in
@@ -111,6 +111,30 @@ pub struct CandidateEval {
     /// The scalarized reward ([`RewardKind::aggregate`] over the
     /// per-network EDPs) — the one number the optimizer consumes.
     pub reward: f64,
+}
+
+impl CandidateEval {
+    /// The slim view of this evaluation: everything the commit folds for
+    /// a candidate that does not become the incumbent.
+    pub fn score(&self) -> CandidateScore {
+        CandidateScore {
+            reward: self.reward,
+            objectives: self.objectives,
+        }
+    }
+}
+
+/// What an accelerator-mode `evaluate_shard` reply carries per candidate:
+/// a [`CandidateEval`] without its per-network cost reports. The
+/// optimizer, the history and the Pareto archive need only this; the
+/// reports matter only for the candidate that becomes the incumbent, and
+/// [`accel_commit_scores`] asks for them exactly there.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CandidateScore {
+    /// The scalarized reward.
+    pub reward: f64,
+    /// The candidate's objective vector.
+    pub objectives: ObjectiveVector,
 }
 
 /// A fully evaluated design point.
@@ -502,8 +526,38 @@ pub fn accel_sample_generation(state: &mut AccelSearchState) -> Option<SampledGe
 pub fn accel_commit_generation(
     state: &mut AccelSearchState,
     sampled: SampledGeneration,
-    results: Vec<Option<CandidateEval>>,
+    mut results: Vec<Option<CandidateEval>>,
 ) {
+    let scores = results
+        .iter()
+        .map(|r| r.as_ref().map(CandidateEval::score))
+        .collect();
+    accel_commit_scores(state, sampled, scores, |slot, _, _| results[slot].take());
+}
+
+/// [`accel_commit_generation`] over slim [`CandidateScore`]s — the
+/// commit a distributed coordinator runs on `evaluate_shard` replies.
+///
+/// `complete(slot, design, score)` is called only for a candidate whose
+/// score would install a new incumbent, and must return its full
+/// evaluation (per-network reports included). The completed evaluation
+/// is authoritative for its slot: its reward and objectives are what
+/// the slot folds, and `None` makes the slot infeasible. An honest
+/// completion returns the score it was given, so the fold is the one
+/// [`accel_commit_generation`] performs on full evaluations.
+///
+/// # Panics
+///
+/// If `scores` does not hold one entry per sampled candidate, or the
+/// generation was not sampled from this state's current iteration.
+pub fn accel_commit_scores<F>(
+    state: &mut AccelSearchState,
+    sampled: SampledGeneration,
+    scores: Vec<Option<CandidateScore>>,
+    mut complete: F,
+) where
+    F: FnMut(usize, &Accelerator, CandidateScore) -> Option<CandidateEval>,
+{
     let cfg = state.config;
     let SampledGeneration {
         iteration,
@@ -511,7 +565,7 @@ pub fn accel_commit_generation(
         rejected,
     } = sampled;
     assert_eq!(
-        results.len(),
+        scores.len(),
         slots.len(),
         "evaluator must return one result per candidate"
     );
@@ -519,6 +573,10 @@ pub fn accel_commit_generation(
         iteration, state.iteration,
         "a sampled generation commits against the state that sampled it"
     );
+    // The incumbent rule, in one place: strictly lower reward wins.
+    let improves = |best: &Option<AccelCandidate>, reward: f64| {
+        best.as_ref().is_none_or(|b| reward < b.reward)
+    };
 
     // Collect scores in slot order; infeasible candidates score +inf,
     // rejected decodes are also reported to the optimizer as infeasible.
@@ -527,32 +585,39 @@ pub fn accel_commit_generation(
     // each candidate's `per_network` reports.
     let mut scored: Vec<(Vec<f64>, f64)> = Vec::with_capacity(slots.len() + rejected.len());
     let mut rewards = Vec::new();
-    for (slot, ((theta, accel), result)) in slots.into_iter().zip(results).enumerate() {
-        match result {
-            Some(eval) => {
-                state.evaluations += 1;
-                rewards.push(eval.reward);
-                if let Some(archive) = state.archive.as_mut() {
-                    // Global candidate order: this fold runs in slot
-                    // order in every execution mode (local pool,
-                    // distributed merge, resume), so the archive sees
-                    // the identical offer sequence everywhere.
-                    let candidate_index = iteration as u64 * cfg.population as u64 + slot as u64;
-                    archive.offer(candidate_index, eval.objectives, &accel);
-                }
-                if state.best.as_ref().is_none_or(|b| eval.reward < b.reward) {
-                    state.best = Some(AccelCandidate {
-                        accelerator: accel,
-                        per_network: eval.per_network,
-                        objectives: eval.objectives,
-                        reward: eval.reward,
-                    });
-                    state.best_theta = Some(theta.clone());
-                }
-                scored.push((theta, eval.reward));
+    for (slot, ((theta, accel), score)) in slots.into_iter().zip(scores).enumerate() {
+        let mut full = None;
+        let score = match score {
+            Some(score) if improves(&state.best, score.reward) => {
+                full = complete(slot, &accel, score);
+                full.as_ref().map(CandidateEval::score)
             }
-            None => scored.push((theta, f64::INFINITY)),
+            other => other,
+        };
+        let Some(score) = score else {
+            scored.push((theta, f64::INFINITY));
+            continue;
+        };
+        state.evaluations += 1;
+        rewards.push(score.reward);
+        if let Some(archive) = state.archive.as_mut() {
+            // Global candidate order: this fold runs in slot order in
+            // every execution mode (local pool, distributed merge,
+            // resume), so the archive sees the identical offer sequence
+            // everywhere.
+            let candidate_index = iteration as u64 * cfg.population as u64 + slot as u64;
+            archive.offer(candidate_index, score.objectives, &accel);
         }
+        if let Some(eval) = full.filter(|eval| improves(&state.best, eval.reward)) {
+            state.best = Some(AccelCandidate {
+                accelerator: accel,
+                per_network: eval.per_network,
+                objectives: eval.objectives,
+                reward: eval.reward,
+            });
+            state.best_theta = Some(theta.clone());
+        }
+        scored.push((theta, score.reward));
     }
     for theta in rejected {
         scored.push((theta, f64::INFINITY));

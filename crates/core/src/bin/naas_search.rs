@@ -364,6 +364,34 @@ impl Driver {
             Driver::Distributed(coordinator) => Some(coordinator.plan()),
         }
     }
+
+    /// The cache figure of a progress line. Under `--workers` the
+    /// coordinator's engine cache is only a mirror of the fleet's gossip
+    /// — the workers' caches serve the search — so its hit rate means
+    /// nothing and only the mirror's size is shown.
+    fn cache_progress(&self, stats: &naas_engine::CacheStats) -> String {
+        match self {
+            Driver::Local => format!("cache {:.0}% hit", stats.hit_rate() * 100.0),
+            Driver::Distributed(_) => format!("cache mirror {} entries", stats.entries),
+        }
+    }
+
+    /// The final report's cache line (see [`Driver::cache_progress`]).
+    fn cache_report(&self, stats: &naas_engine::CacheStats) -> String {
+        match self {
+            Driver::Local => format!(
+                "cache: {} entries, {} hits / {} misses ({:.0}% hit rate)",
+                stats.entries,
+                stats.hits,
+                stats.misses,
+                stats.hit_rate() * 100.0
+            ),
+            Driver::Distributed(_) => format!(
+                "cache mirror: {} entries (the workers' caches served the search)",
+                stats.entries
+            ),
+        }
+    }
 }
 
 /// Builds the generation driver from a `--workers` value: a
@@ -591,13 +619,13 @@ fn drive(
     while driver.step(engine, model, &job.networks, &mut state) {
         let last = state.history().last().expect("step appends history");
         println!(
-            "  gen {:>2}/{}: best EDP {:.3e}, population mean {:.3e}, {} valid, cache {:.0}% hit",
+            "  gen {:>2}/{}: best EDP {:.3e}, population mean {:.3e}, {} valid, {}",
             state.iteration,
             iterations,
             last.best_edp,
             last.mean_edp,
             last.valid,
-            state.cache_stats.hit_rate() * 100.0
+            driver.cache_progress(&state.cache_stats)
         );
         write_metrics_snapshot(engine);
         let due = policy
@@ -622,7 +650,8 @@ fn drive(
         }
     }
     write_metrics_snapshot(engine);
-    report(state, started.elapsed());
+    let cache_line = driver.cache_report(&state.cache_stats);
+    report(state, started.elapsed(), &cache_line);
 }
 
 fn cmd_show(args: &Args) {
@@ -634,14 +663,23 @@ fn cmd_show(args: &Args) {
     let snapshot: SearchCheckpoint = checkpoint::load(std::path::Path::new(path))
         .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}")));
     let state = &snapshot.state;
+    // A checkpoint with a shard plan was written by a fleet run, whose
+    // cache counters describe the coordinator's mirror (see
+    // `Driver::cache_progress`): its hit rate means nothing.
+    let cache = match snapshot.shards {
+        Some(_) => format!("cache mirror {} entries", state.cache_stats.entries),
+        None => format!(
+            "cache {} entries ({:.0}% hit)",
+            state.cache_stats.entries,
+            state.cache_stats.hit_rate() * 100.0
+        ),
+    };
     println!(
-        "scenario `{}`: generation {}/{}, {} evaluations, cache {} entries ({:.0}% hit)",
+        "scenario `{}`: generation {}/{}, {} evaluations, {cache}",
         snapshot.scenario.name,
         state.iteration,
         state.config.iterations,
         state.history().iter().map(|h| h.valid).sum::<usize>(),
-        state.cache_stats.entries,
-        state.cache_stats.hit_rate() * 100.0
     );
     match state.best() {
         Some(best) => println!(
@@ -996,11 +1034,7 @@ fn client_job(addr: &str, verb: &str, args: &Args) -> ! {
             .unwrap_or_else(|| fail(format!("client {verb} requires --job <id>")));
         ("job_id".to_string(), Value::U64(job_id))
     };
-    let print_value = |value: &Value| {
-        let line = serde_json::to_string(value)
-            .unwrap_or_else(|e| fail(format!("cannot render reply: {e}")));
-        println!("{line}");
-    };
+    let print_value = |value: &Value| println!("{}", serde_json::value_to_string(value));
     match verb {
         "submit" => {
             let scenario = args
@@ -1074,14 +1108,11 @@ fn client_metrics(addr: &str) -> ! {
     let result = worker
         .call("metrics", Vec::new())
         .unwrap_or_else(|e| fail(format!("metrics probe of {addr} failed: {e}")));
-    let line = serde_json::to_string(&result)
-        .unwrap_or_else(|e| fail(format!("cannot render metrics snapshot: {e}")));
-    println!("{line}");
+    println!("{}", serde_json::value_to_string(&result));
     exit(0);
 }
 
-fn report(state: AccelSearchState, elapsed: std::time::Duration) {
-    let stats = state.cache_stats;
+fn report(state: AccelSearchState, elapsed: std::time::Duration, cache_line: &str) {
     if let Some(archive) = state.archive() {
         println!("\n{}", archive.render());
     }
@@ -1096,11 +1127,5 @@ fn report(state: AccelSearchState, elapsed: std::time::Duration) {
         result.evaluations,
         elapsed.as_secs_f64()
     );
-    println!(
-        "cache: {} entries, {} hits / {} misses ({:.0}% hit rate)",
-        stats.entries,
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0
-    );
+    println!("{cache_line}");
 }

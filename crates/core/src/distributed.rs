@@ -86,11 +86,12 @@
 //!
 //! Shard replies piggyback a `cache_delta`: the mapping results the
 //! worker computed since its last report. The coordinator absorbs every
-//! delta into its own engine cache (so local fallback and `--cache-file`
-//! persistence see fleet-wide results) and relays it to the other
-//! workers on their next shard request — a `(design, layer-shape)` pair
-//! solved anywhere is solved everywhere, without workers knowing about
-//! each other. Relaying is sound for the same reason sharing the
+//! delta into its own engine cache (so local fallback, `--cache-file`
+//! persistence and the rebuild of each new incumbent's per-network
+//! reports — which replies no longer carry — see fleet-wide results)
+//! and relays it to the other workers on their next shard request — a
+//! `(design, layer-shape)` pair solved anywhere is solved everywhere,
+//! without workers knowing about each other. Relaying is sound for the same reason sharing the
 //! in-process cache is: entries are pure functions of their keys.
 //!
 //! For week-long fleets the relay bookkeeping is bounded: the delta log
@@ -112,10 +113,12 @@
 //! // Panics: a fleet needs at least one worker address.
 //! let _ = DistributedCoordinator::connect(&[], &scenario);
 //! ```
+//!
+//! [`accel_search_step_with`]: crate::accel_search::accel_search_step_with
 
 use crate::accel_search::{
-    accel_commit_generation, accel_sample_generation, evaluate_candidate, AccelSearchState,
-    CandidateEval, SampledGeneration,
+    accel_commit_scores, accel_sample_generation, evaluate_candidate, AccelSearchState,
+    CandidateEval, CandidateScore, SampledGeneration,
 };
 use crate::engine::CoSearchEngine;
 use crate::joint::{
@@ -317,10 +320,12 @@ impl SchedulerStats {
     }
 }
 
-/// One candidate's evaluation outcome, as moved over the wire: the full
-/// [`CandidateEval`] (per-network costs, objective vector, scalarized
-/// reward), or `None` for an infeasible design.
-pub type CandidateOutcome = Option<CandidateEval>;
+/// One candidate's evaluation outcome, as moved over the wire: its
+/// [`CandidateScore`] (scalarized reward and objective vector), or
+/// `None` for an infeasible design. Per-network cost reports do not
+/// travel; the coordinator rebuilds them for the incumbent alone
+/// (see [`DistributedCoordinator::step_with_scenario_keyed`]).
+pub type CandidateOutcome = Option<CandidateScore>;
 
 /// The incremental cache image piggybacked on shard replies.
 type Delta = CacheSnapshot<Option<MappingSearchResult>>;
@@ -680,8 +685,20 @@ impl DistributedCoordinator {
     ///    the results merged so far (in-flight unknowns pessimistically
     ///    infeasible), sample G+1 from the fork and feed it to the idle
     ///    fleet — see `SpecShared` in the scheduler;
-    /// 5. **commit** the real generation ([`accel_commit_generation`])
-    ///    and bank whatever the speculation evaluated.
+    /// 5. **commit** the real generation ([`accel_commit_scores`]) and
+    ///    bank whatever the speculation evaluated.
+    ///
+    /// Every path that feeds the commit — merged shard replies, banked
+    /// speculation, local fallback — carries slim [`CandidateScore`]s.
+    /// Where the commit installs a new incumbent, the coordinator
+    /// rebuilds that candidate's per-network reports from its own memo
+    /// cache, which the fleet's `cache_delta` gossip keeps complete:
+    /// pure hits normally, and a plain recompute for an entry that is
+    /// missing (evicted under `--cache-cap`, or lost with a dropped
+    /// duplicate reply). The rebuilt reward and objectives are checked
+    /// bit for bit against the wire values; on a mismatch the rebuild
+    /// wins for that slot, and the coordinator warns
+    /// (`incumbent_mismatch`) and counts it.
     ///
     /// The real state only ever advances through the real sample and
     /// commit, so the trajectory is bit-identical to the barrier path at
@@ -752,6 +769,7 @@ impl DistributedCoordinator {
                     &cfg.mapping,
                     cfg.reward,
                 )
+                .map(|eval| eval.score())
             })
         };
 
@@ -768,7 +786,7 @@ impl DistributedCoordinator {
         let hook = |merged_now: &[Option<CandidateOutcome>]| {
             let predicted: Vec<CandidateOutcome> = (0..n)
                 .map(|i| match &known_ref[i] {
-                    Some(outcome) => outcome.clone(),
+                    Some(outcome) => *outcome,
                     // In-flight unknowns predict as infeasible (+inf
                     // score): wrong predictions cost a rollback, never
                     // correctness — and the speculative work only ever
@@ -777,12 +795,20 @@ impl DistributedCoordinator {
                         let pos = unknowns_ref
                             .binary_search(&i)
                             .expect("unknown slots index the scheduler domain");
-                        merged_now[pos].clone().unwrap_or(None)
+                        merged_now[pos].unwrap_or(None)
                     }
                 })
                 .collect();
+            // The fork only samples: its incumbent's per-network reports
+            // are never read, so none are rebuilt for it.
             let mut fork = state_ref.clone();
-            accel_commit_generation(&mut fork, sampled_ref.clone(), predicted);
+            accel_commit_scores(&mut fork, sampled_ref.clone(), predicted, |_, _, score| {
+                Some(CandidateEval {
+                    per_network: Vec::new(),
+                    objectives: score.objectives,
+                    reward: score.reward,
+                })
+            });
             let next = accel_sample_generation(&mut fork)?;
             *spec_sink.lock().unwrap_or_else(|p| p.into_inner()) = Some(next.clone());
             let spec_slots = next.slots;
@@ -850,7 +876,15 @@ impl DistributedCoordinator {
             }
         }
 
-        accel_commit_generation(state, sampled, results);
+        // Commit on the slim wire scores; only a candidate that installs a
+        // new incumbent gets its per-network reports rebuilt.
+        let generation = self.generation;
+        accel_commit_scores(state, sampled, results, |slot, accel, wire| {
+            let rebuilt =
+                evaluate_candidate(engine, model, accel, networks, &cfg.mapping, cfg.reward);
+            check_rebuilt_incumbent(generation, slot, wire, rebuilt.as_ref());
+            rebuilt
+        });
         state.cache_stats = engine.cache_stats();
         self.compact_delta_log();
         if let Some(archive) = state.archive() {
@@ -1520,7 +1554,7 @@ impl DistributedCoordinator {
             .iter()
             .map(|s| (s.synced, s.full_resync))
             .collect();
-        let mut setups: Vec<Option<(Option<Value>, bool)>> =
+        let mut setups: Vec<Option<(Option<Delta>, bool)>> =
             (0..worker_count).map(|_| None).collect();
         for &w in live {
             let cache = self.take_cache_param(engine, w);
@@ -1714,16 +1748,18 @@ impl DistributedCoordinator {
         slot.alive && capability.is_none_or(|c| slot.remote.has_capability(c))
     }
 
-    /// Builds the `cache` parameter value for `widx`'s first shard
-    /// request of the generation and advances its sync point: an
+    /// Takes the snapshot for the `cache` parameter of `widx`'s first
+    /// shard request of the generation and advances its sync point: an
     /// incremental delta of every logged entry this worker has not seen
     /// and did not itself report — or, right after a rejoin, a full
     /// snapshot of the coordinator's engine cache (the restarted worker
     /// lost everything; this is the backlog replay that makes it warm
     /// again). Values are fetched from the engine cache at build time,
     /// so evicted entries simply drop out of the relay. Returns `None`
-    /// when the worker is already up to date.
-    fn take_cache_param(&mut self, engine: &CoSearchEngine, widx: usize) -> Option<Value> {
+    /// when the worker is already up to date. The JSON encoding is left
+    /// to the worker's scheduler thread, so the fleet's relays encode in
+    /// parallel instead of on the generation's serial start.
+    fn take_cache_param(&mut self, engine: &CoSearchEngine, widx: usize) -> Option<Delta> {
         let full_resync = std::mem::take(&mut self.workers[widx].full_resync);
         let synced = self.workers[widx].synced;
         let snapshot = if full_resync {
@@ -1745,7 +1781,7 @@ impl DistributedCoordinator {
             .coordinator
             .deltas_gossiped
             .add(snapshot.entries.len() as u64);
-        Some(serde_json::to_value(&snapshot))
+        Some(snapshot)
     }
 
     /// Folds a worker's reply delta into the coordinator: absorb the
@@ -2232,7 +2268,7 @@ struct MergeState<T> {
 fn worker_loop<T: Send + Clone>(
     remote: &mut RemoteWorker,
     widx: usize,
-    mut cache_param: Option<Value>,
+    mut cache_param: Option<Delta>,
     rate_known: bool,
     cfg: SchedCfg,
     sched: &Mutex<Sched>,
@@ -2382,7 +2418,7 @@ fn worker_loop<T: Send + Clone>(
                 build(range)
             };
             if let Some(cache) = cache_param.take() {
-                params.push(("cache".to_string(), cache));
+                params.push(("cache".to_string(), serde_json::to_value(&cache)));
             }
             match remote.send("evaluate_shard", params) {
                 Ok(id) => {
@@ -2604,6 +2640,52 @@ fn shard_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
     ranges
 }
 
+/// Checks the coordinator's rebuild of a new incumbent against the wire
+/// score it completes. A disagreement means the worker's reply and the
+/// cache entries gossiped for it contradict each other; the commit keeps
+/// the rebuild, and the disagreement is counted and reported here.
+fn check_rebuilt_incumbent(
+    generation: usize,
+    slot: usize,
+    wire: CandidateScore,
+    rebuilt: Option<&CandidateEval>,
+) {
+    let rebuilt = rebuilt.map(CandidateEval::score);
+    if rebuilt.is_some_and(|score| same_bits(&score, &wire)) {
+        return;
+    }
+    telemetry::metrics().coordinator.incumbent_mismatches.inc();
+    telemetry::events().emit(
+        Level::Warn,
+        "incumbent_mismatch",
+        &format!(
+            "generation {generation} slot {slot}: the wire score (reward {}) disagrees with \
+             the coordinator's rebuild from gossiped cache entries; keeping the rebuild",
+            wire.reward
+        ),
+        &[
+            ("generation", Value::U64(generation as u64)),
+            ("slot", Value::U64(slot as u64)),
+            ("wire_reward", Value::F64(wire.reward)),
+            (
+                "rebuilt_reward",
+                rebuilt.map_or(Value::Null, |score| Value::F64(score.reward)),
+            ),
+        ],
+    );
+}
+
+/// Bit-for-bit equality of two scores (`==` on floats would equate
+/// `0.0` with `-0.0`).
+fn same_bits(a: &CandidateScore, b: &CandidateScore) -> bool {
+    let (x, y) = (&a.objectives, &b.objectives);
+    a.reward.to_bits() == b.reward.to_bits()
+        && x.latency_cycles == y.latency_cycles
+        && x.energy_nj.to_bits() == y.energy_nj.to_bits()
+        && x.area_um2.to_bits() == y.area_um2.to_bits()
+        && x.accuracy.to_bits() == y.accuracy.to_bits()
+}
+
 /// Decodes the framing shared by both shard-reply shapes: the `results`
 /// array (cardinality-checked) and the piggybacked `cache_delta`.
 fn parse_reply_frame(reply: &Value, expected: usize) -> Result<(&[Value], Delta), String> {
@@ -2643,9 +2725,9 @@ fn validate_wire_eval(reward: f64, objectives: &ObjectiveVector) -> Result<(), S
         .map_err(|e| format!("wire objectives rejected: {e}"))
 }
 
-/// Decodes one accelerator-search `evaluate_shard` reply (protocol v3:
-/// each result carries `reward`, `per_network` **and** `objectives`)
-/// into per-candidate outcomes and the piggybacked cache delta.
+/// Decodes one accelerator-search `evaluate_shard` reply (protocol v5:
+/// each result is `{reward, objectives}`) into per-candidate outcomes
+/// and the piggybacked cache delta.
 fn parse_shard_reply(
     reply: &Value,
     expected: usize,
@@ -2660,12 +2742,6 @@ fn parse_shard_reply(
                     .get("reward")
                     .and_then(Value::as_f64)
                     .ok_or_else(|| "candidate result has no `reward`".to_string())?;
-                let per_network: Vec<NetworkCost> = serde_json::from_value(
-                    value
-                        .get("per_network")
-                        .ok_or_else(|| "candidate result has no `per_network`".to_string())?,
-                )
-                .map_err(|e| format!("invalid `per_network`: {e}"))?;
                 let objectives: ObjectiveVector = serde_json::from_value(
                     value
                         .get("objectives")
@@ -2673,11 +2749,7 @@ fn parse_shard_reply(
                 )
                 .map_err(|e| format!("invalid `objectives`: {e}"))?;
                 validate_wire_eval(reward, &objectives)?;
-                Some(CandidateEval {
-                    per_network,
-                    objectives,
-                    reward,
-                })
+                Some(CandidateScore { reward, objectives })
             }
         });
     }
@@ -2766,7 +2838,7 @@ mod tests {
     #[test]
     fn shard_reply_parsing_rejects_malformed_replies() {
         let good: Value = serde_json::parse_str(&format!(
-            r#"{{"results": [null, {{"reward": 2.5, "per_network": [{{"layers": []}}], "objectives": {GOOD_OBJECTIVES}}}]}}"#,
+            r#"{{"results": [null, {{"reward": 2.5, "objectives": {GOOD_OBJECTIVES}}}]}}"#,
         ))
         .unwrap();
         let (outcomes, delta) = parse_shard_reply(&good, 2).unwrap();
@@ -2787,8 +2859,8 @@ mod tests {
         assert!(parse_shard_reply(&no_results, 1)
             .unwrap_err()
             .contains("results"));
-        // Protocol v3: a v2-shaped result (no objective vector) is a
-        // protocol error, not a silently defaulted vector.
+        // A v2-shaped result (no objective vector) is a protocol error,
+        // not a silently defaulted vector.
         let v2_shape: Value = serde_json::parse_str(
             r#"{"results": [{"reward": 2.5, "per_network": [{"layers": []}]}]}"#,
         )
@@ -2806,11 +2878,11 @@ mod tests {
         // re-issue, and `RewardKind::aggregate`'s panics stay
         // unreachable for wire data.
         for poison in [
-            r#"{"reward": null, "per_network": [], "objectives": OBJ}"#.to_string(),
-            r#"{"reward": -1.0, "per_network": [], "objectives": OBJ}"#.to_string(),
-            r#"{"reward": 2.5, "per_network": [], "objectives": {"latency_cycles": 0, "energy_nj": 5.0, "area_um2": 2.0e6, "accuracy": 0.0}}"#.to_string(),
-            r#"{"reward": 2.5, "per_network": [], "objectives": {"latency_cycles": 10, "energy_nj": -5.0, "area_um2": 2.0e6, "accuracy": 0.0}}"#.to_string(),
-            r#"{"reward": 2.5, "per_network": [], "objectives": {"latency_cycles": 10, "energy_nj": 5.0, "area_um2": 2.0e6, "accuracy": -3.0}}"#.to_string(),
+            r#"{"reward": null, "objectives": OBJ}"#.to_string(),
+            r#"{"reward": -1.0, "objectives": OBJ}"#.to_string(),
+            r#"{"reward": 2.5, "objectives": {"latency_cycles": 0, "energy_nj": 5.0, "area_um2": 2.0e6, "accuracy": 0.0}}"#.to_string(),
+            r#"{"reward": 2.5, "objectives": {"latency_cycles": 10, "energy_nj": -5.0, "area_um2": 2.0e6, "accuracy": 0.0}}"#.to_string(),
+            r#"{"reward": 2.5, "objectives": {"latency_cycles": 10, "energy_nj": 5.0, "area_um2": 2.0e6, "accuracy": -3.0}}"#.to_string(),
         ] {
             let reply: Value = serde_json::parse_str(&format!(
                 r#"{{"results": [{}]}}"#,

@@ -51,11 +51,11 @@ pub mod reward;
 pub mod service;
 
 pub use accel_search::{
-    accel_commit_generation, accel_sample_generation, accel_search_init, accel_search_step,
-    accel_search_step_with, resume_accel_search, search_accelerator, search_accelerator_seeded,
-    search_accelerator_with, AccelCandidate, AccelSearchConfig, AccelSearchResult,
-    AccelSearchState, CandidateEval, IterationStats, NoValidDesign, SampledGeneration,
-    SearchStrategy,
+    accel_commit_generation, accel_commit_scores, accel_sample_generation, accel_search_init,
+    accel_search_step, accel_search_step_with, resume_accel_search, search_accelerator,
+    search_accelerator_seeded, search_accelerator_with, AccelCandidate, AccelSearchConfig,
+    AccelSearchResult, AccelSearchState, CandidateEval, CandidateScore, IterationStats,
+    NoValidDesign, SampledGeneration, SearchStrategy,
 };
 pub use distributed::{
     validate_scheduler_flags, DistributedCoordinator, OverlapStats, SchedulerStats, ShardPlan,

@@ -721,7 +721,8 @@ impl BatchEvalService {
     /// * **accelerator search** (default): each candidate is costed
     ///   against a scenario's benchmark suite through
     ///   [`accel_search::evaluate_candidate`], the exact evaluation a
-    ///   single-process `accel_search_step` performs;
+    ///   single-process `accel_search_step` performs, and answered as its
+    ///   [`accel_search::CandidateScore`] (`{reward, objectives}`);
     /// * **joint search** (`joint` parameter present): each candidate
     ///   runs its whole NAS evolution through
     ///   [`crate::joint::evaluate_joint_candidate`], seeded by the
@@ -803,23 +804,15 @@ impl BatchEvalService {
                 reward,
             )
         });
+        // Protocol v5 result shape: the scalarized reward and the
+        // objective vector. The per-network reports stay here — the
+        // coordinator rebuilds them for the incumbent alone, from the
+        // mapping results this reply's `cache_delta` gossips.
         Ok(results
             .iter()
             .map(|outcome| match outcome {
                 None => Value::Null,
-                // Protocol v3 result shape: the scalarized reward, the
-                // per-network cost reports, and the objective vector.
-                Some(eval) => Value::Object(vec![
-                    ("reward".to_string(), Value::F64(eval.reward)),
-                    (
-                        "per_network".to_string(),
-                        serde_json::to_value(&eval.per_network),
-                    ),
-                    (
-                        "objectives".to_string(),
-                        serde_json::to_value(&eval.objectives),
-                    ),
-                ]),
+                Some(eval) => serde_json::to_value(&eval.score()),
             })
             .collect())
     }

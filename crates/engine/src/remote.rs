@@ -303,12 +303,7 @@ impl RemoteWorker {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let mut fields = Vec::with_capacity(params.len() + 2);
-        fields.push(("id".to_string(), Value::U64(id)));
-        fields.push(("cmd".to_string(), Value::Str(cmd.to_string())));
-        fields.extend(params);
-        let line = serde_json::to_string(&Value::Object(fields))
-            .expect("value serialization is infallible");
+        let line = request_line(id, cmd, params);
         let conn = self.conn.as_mut().expect("connected above");
         match write_line(conn, &line) {
             Ok(()) => {
@@ -422,12 +417,7 @@ impl RemoteWorker {
         );
         let id = self.next_id;
         self.next_id += 1;
-        let mut fields = Vec::with_capacity(params.len() + 2);
-        fields.push(("id".to_string(), Value::U64(id)));
-        fields.push(("cmd".to_string(), Value::Str(cmd.to_string())));
-        fields.extend(params);
-        let line = serde_json::to_string(&Value::Object(fields))
-            .expect("value serialization is infallible");
+        let line = request_line(id, cmd, params);
 
         let start = std::time::Instant::now();
         let outcome = self.exchange(&line, id);
@@ -456,6 +446,17 @@ impl RemoteWorker {
         let conn = self.conn.as_mut().expect("connected above");
         wire_exchange(conn, line, id)
     }
+}
+
+/// Renders one request line: `id` and `cmd` first, then the caller's
+/// parameters. The parameter trees (a shard's candidates, a relayed
+/// cache delta) are written in place, never copied.
+fn request_line(id: u64, cmd: &str, params: Vec<(String, Value)>) -> String {
+    let mut fields = Vec::with_capacity(params.len() + 2);
+    fields.push(("id".to_string(), Value::U64(id)));
+    fields.push(("cmd".to_string(), Value::Str(cmd.to_string())));
+    fields.extend(params);
+    serde_json::value_to_string(&Value::Object(fields))
 }
 
 /// Writes one framed request line.
@@ -556,13 +557,14 @@ fn wire_exchange(conn: &mut Conn, line: &str, id: u64) -> Result<Value, RemoteEr
 /// server to answer with the identical version. Returns the server's
 /// advertised capability list.
 fn hello_exchange(conn: &mut Conn, id: u64, client: &str) -> Result<Vec<String>, RemoteError> {
-    let request = Value::Object(vec![
-        ("id".to_string(), Value::U64(id)),
-        ("cmd".to_string(), Value::Str("hello".to_string())),
-        ("protocol".to_string(), Value::U64(PROTOCOL_VERSION)),
-        ("client".to_string(), Value::Str(client.to_string())),
-    ]);
-    let line = serde_json::to_string(&request).expect("value serialization is infallible");
+    let line = request_line(
+        id,
+        "hello",
+        vec![
+            ("protocol".to_string(), Value::U64(PROTOCOL_VERSION)),
+            ("client".to_string(), Value::Str(client.to_string())),
+        ],
+    );
     let result = match wire_exchange(conn, &line, id) {
         Ok(result) => result,
         // An orderly error response to `hello` is itself a version

@@ -51,12 +51,16 @@ use std::sync::{Condvar, Mutex};
 /// every `metrics` snapshot — the snapshot-shape change is what makes
 /// the bump required rather than additive, since a v4 reader of a
 /// serialized `MetricsSnapshot` rejects a v3 image that lacks the new
-/// required section. A
+/// required section. Version 5 slimmed accelerator-mode `evaluate_shard`
+/// results to `{reward, objectives}`: the per-network cost reports are
+/// no longer shipped (the coordinator rebuilds them from its gossip-fed
+/// cache for the incumbent alone), and removing a required field is
+/// incompatible. A
 /// client and server interoperate only on an exact match — the
 /// distributed driver ships serialized configs and search states whose
 /// layout follows the crate types, so "close enough" versions are
 /// exactly the undefined behaviour the handshake exists to rule out.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// A parsed service request: the echoed `id`, the command name, and the
 /// full request object (commands read their parameters out of it).
@@ -134,14 +138,15 @@ fn kind(v: &Value) -> &'static str {
     }
 }
 
-/// Renders a success response line (no trailing newline).
+/// Renders a success response line (no trailing newline). The result
+/// tree is written in place, never copied.
 pub fn ok_line(id: &Value, result: Value) -> String {
     let response = Value::Object(vec![
         ("id".to_string(), id.clone()),
         ("ok".to_string(), Value::Bool(true)),
         ("result".to_string(), result),
     ]);
-    serde_json::to_string(&response).expect("value serialization is infallible")
+    serde_json::value_to_string(&response)
 }
 
 /// Renders an error response line (no trailing newline).
@@ -151,7 +156,7 @@ pub fn error_line(id: &Value, message: &str) -> String {
         ("ok".to_string(), Value::Bool(false)),
         ("error".to_string(), Value::Str(message.to_string())),
     ]);
-    serde_json::to_string(&response).expect("value serialization is infallible")
+    serde_json::value_to_string(&response)
 }
 
 struct BatcherState<T> {

@@ -444,6 +444,10 @@ pub struct CoordinatorSnapshot {
     pub overlap_ms: u64,
     /// Sub-candidate joint work units merged (`joint_unit` wire mode).
     pub joint_units: u64,
+    /// New incumbents whose coordinator-side rebuild disagreed with the
+    /// worker's wire score (the rebuild was kept). Nonzero means a
+    /// worker's replies contradict the cache entries it gossiped.
+    pub incumbent_mismatches: u64,
 }
 
 /// Snapshot of the multi-tenant gateway section. All zeros in a
@@ -586,6 +590,8 @@ pub struct CoordinatorMetrics {
     pub overlap_ms: Counter,
     /// Sub-candidate joint work units merged (`joint_unit` wire mode).
     pub joint_units: Counter,
+    /// New incumbents whose rebuilt score disagreed with the wire score.
+    pub incumbent_mismatches: Counter,
 }
 
 /// Multi-tenant gateway instruments (updated by `naas::gateway`).
@@ -665,6 +671,7 @@ impl Metrics {
                 overlap_rollbacks: Counter::new(),
                 overlap_ms: Counter::new(),
                 joint_units: Counter::new(),
+                incumbent_mismatches: Counter::new(),
             },
             gateway: GatewayMetrics {
                 jobs_submitted: Counter::new(),
@@ -726,6 +733,7 @@ impl Metrics {
                 overlap_rollbacks: self.coordinator.overlap_rollbacks.get(),
                 overlap_ms: self.coordinator.overlap_ms.get(),
                 joint_units: self.coordinator.joint_units.get(),
+                incumbent_mismatches: self.coordinator.incumbent_mismatches.get(),
             },
             gateway: GatewaySnapshot {
                 jobs_submitted: self.gateway.jobs_submitted.get(),
@@ -915,7 +923,7 @@ fn now_ms(clock: &Option<Clock>) -> u64 {
 }
 
 fn write_line(state: &mut LogState, record: &Value) {
-    let line = serde_json::to_string(record).unwrap_or_default();
+    let line = serde_json::value_to_string(record);
     if let Some(sink) = state.sink.as_mut() {
         // Telemetry must never take the run down: on a dead sink
         // (disk full, pipe closed) drop the sink and carry on.

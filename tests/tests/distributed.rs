@@ -62,6 +62,10 @@ fn spawn_flaky_worker(fail_after: usize) -> SocketAddr {
         let mut answered = 0usize;
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
+            // Replies are single JSON lines; with Nagle on, each one
+            // waits out the coordinator's delayed ACK (as in
+            // `ServiceServer::serve_listener`).
+            let _ = stream.set_nodelay(true);
             let mut reader = BufReader::new(match stream.try_clone() {
                 Ok(clone) => clone,
                 Err(_) => break,
@@ -100,6 +104,10 @@ fn spawn_rejecting_worker() -> SocketAddr {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
+            // Replies are single JSON lines; with Nagle on, each one
+            // waits out the coordinator's delayed ACK (as in
+            // `ServiceServer::serve_listener`).
+            let _ = stream.set_nodelay(true);
             let mut reader = BufReader::new(match stream.try_clone() {
                 Ok(clone) => clone,
                 Err(_) => break,
@@ -403,6 +411,10 @@ fn spawn_restartable_worker(fail_after: usize) -> SocketAddr {
         let mut answered = 0usize;
         'crash: for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
+            // Replies are single JSON lines; with Nagle on, each one
+            // waits out the coordinator's delayed ACK (as in
+            // `ServiceServer::serve_listener`).
+            let _ = stream.set_nodelay(true);
             let mut reader = BufReader::new(match stream.try_clone() {
                 Ok(clone) => clone,
                 Err(_) => break,
@@ -712,6 +724,10 @@ fn spawn_poison_worker() -> SocketAddr {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
+            // Replies are single JSON lines; with Nagle on, each one
+            // waits out the coordinator's delayed ACK (as in
+            // `ServiceServer::serve_listener`).
+            let _ = stream.set_nodelay(true);
             let mut reader = BufReader::new(match stream.try_clone() {
                 Ok(clone) => clone,
                 Err(_) => break,
@@ -798,6 +814,168 @@ fn poisoned_objectives_are_a_shard_error_not_a_panic() {
         coordinator.live_workers(),
         1,
         "a worker replying invalid objective values must be marked dead"
+    );
+}
+
+/// Shard replies carry only `{reward, objectives}`; the coordinator
+/// rebuilds the incumbent's per-network reports from its own memo cache.
+/// With that cache capped at a single entry, nearly every gossiped
+/// mapping result is evicted before the rebuild needs it, so the rebuild
+/// runs its recompute fallback — and the run, per-network costs
+/// included, is still bit-identical to the single-process one.
+#[test]
+fn capped_coordinator_cache_rebuilds_incumbents_bit_identically() {
+    let (scenario, networks) = scenario_fixture();
+    let cfg = search_cfg(109);
+    let local = run_local(&cfg, &networks);
+
+    let addrs = vec![spawn_worker(1).to_string(), spawn_worker(1).to_string()];
+    let mut coordinator =
+        DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
+    let job = scenario.resolve().unwrap();
+    let engine = CoSearchEngine::new(cfg.threads);
+    engine.cache().set_entry_cap(1);
+    let model = CostModel::new();
+    let mut state = accel_search_init(&job.constraint, &cfg, &[]);
+    while coordinator.step(&engine, &model, &networks, &mut state) {}
+    let distributed = state.into_result().expect("search finds a design");
+
+    assert_bit_identical(&distributed, &local, "coordinator cache capped at 1 entry");
+    assert!(
+        engine.cache_stats().misses > 0,
+        "the capped mirror must have forced at least one recompute"
+    );
+}
+
+/// An in-memory JSONL sink for the process-global event log.
+#[derive(Clone, Default)]
+struct EventBuffer(Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl Write for EventBuffer {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A worker whose shard replies lie: it evaluates honestly, gossips the
+/// honest mapping results in `cache_delta`, but halves every reward it
+/// reports — so each reply contradicts the cache entries shipped with
+/// it, while staying well-formed enough to pass the reply parser.
+fn spawn_lying_worker() -> SocketAddr {
+    let service = BatchEvalService::new(ServiceConfig {
+        threads: 1,
+        mapping: MappingSearchConfig::quick(7),
+        cache_file: None,
+        cache_cap: 0,
+        eval_delay_us: 0,
+    })
+    .expect("no cache file to load");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            let _ = stream.set_nodelay(true);
+            let mut reader = BufReader::new(match stream.try_clone() {
+                Ok(clone) => clone,
+                Err(_) => break,
+            });
+            let mut writer = stream;
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                let mut response = serde_json::parse_str(&service.respond(line.trim_end()))
+                    .expect("the service answers JSON");
+                halve_rewards(&mut response);
+                let reply = serde_json::value_to_string(&response);
+                if writeln!(writer, "{reply}").is_err() {
+                    break;
+                }
+                line.clear();
+            }
+        }
+    });
+    addr
+}
+
+/// The value of `key` in an object, mutably.
+fn field_mut<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+    match value {
+        Value::Object(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Halves `result.results[*].reward` of an `evaluate_shard` response.
+fn halve_rewards(response: &mut Value) {
+    let results = field_mut(response, "result").and_then(|r| field_mut(r, "results"));
+    let Some(Value::Array(results)) = results else {
+        return;
+    };
+    for entry in results {
+        if let Some(Value::F64(reward)) = field_mut(entry, "reward") {
+            *reward *= 0.5;
+        }
+    }
+}
+
+/// A worker whose slim reward contradicts the cache entries it gossiped
+/// must never panic the coordinator. Every lie that would install a new
+/// incumbent is caught by the rebuild: the coordinator keeps its own
+/// rebuild for the slot, warns (`incumbent_mismatch`) and counts it — so
+/// the incumbent on record always carries honest, self-consistent
+/// costs, never the halved wire reward.
+#[test]
+fn lying_worker_cannot_plant_an_incumbent() {
+    let (scenario, networks) = scenario_fixture();
+    let cfg = search_cfg(113);
+    let events = EventBuffer::default();
+    naas_engine::telemetry::events().set_sink(Box::new(events.clone()));
+    let mismatches = || {
+        naas_engine::telemetry::metrics()
+            .coordinator
+            .incumbent_mismatches
+            .get()
+    };
+    let before = mismatches();
+
+    let addrs = vec![spawn_lying_worker().to_string()];
+    let mut coordinator =
+        DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
+    let distributed = run_distributed(&cfg, &networks, &mut coordinator);
+
+    assert!(mismatches() > before, "mismatches must be counted");
+    let log = String::from_utf8(events.0.lock().unwrap().clone()).unwrap();
+    assert!(
+        log.lines()
+            .filter_map(|line| serde_json::parse_str(line).ok())
+            .any(
+                |event| event.get("event").and_then(Value::as_str) == Some("incumbent_mismatch")
+                    && event.get("level").and_then(Value::as_str) == Some("warn")
+            ),
+        "no incumbent_mismatch warning in the event log"
+    );
+    // The incumbent is the coordinator's own evaluation of the design,
+    // not the worker's claim.
+    let honest = naas::accel_search::evaluate_candidate(
+        &CoSearchEngine::new(1),
+        &CostModel::new(),
+        &distributed.best.accelerator,
+        &networks,
+        &cfg.mapping,
+        cfg.reward,
+    )
+    .expect("the incumbent design maps the suite");
+    assert_eq!(distributed.best.reward, honest.reward);
+    assert_eq!(distributed.best.per_network, honest.per_network);
+    assert_eq!(distributed.best.objectives, honest.objectives);
+    assert_eq!(
+        coordinator.live_workers(),
+        1,
+        "a well-formed reply is not a protocol violation"
     );
 }
 
@@ -912,42 +1090,55 @@ fn pareto_front_survives_kill_restart_and_checkpoint_resume() {
     );
 }
 
+/// A scripted worker from an older build: answers `hello` with
+/// `protocol` and records the command of every line it receives, so a
+/// test can prove that nothing but the handshake ever reached it.
+fn spawn_old_build_worker(protocol: u64) -> (String, Arc<std::sync::Mutex<Vec<String>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap().to_string();
+    let received = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = Arc::clone(&received);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            let mut reader = BufReader::new(match stream.try_clone() {
+                Ok(clone) => clone,
+                Err(_) => break,
+            });
+            let mut writer = stream;
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                let request = serde_json::parse_str(line.trim_end()).unwrap_or(Value::Null);
+                let cmd = request.get("cmd").and_then(Value::as_str).unwrap_or("");
+                log.lock().unwrap().push(cmd.to_string());
+                let id = request.get("id").cloned().unwrap_or(Value::Null);
+                let reply = naas_engine::service::ok_line(
+                    &id,
+                    serde_json::parse_str(&format!(
+                        r#"{{"protocol": {protocol}, "capabilities": ["evaluate_shard"]}}"#
+                    ))
+                    .unwrap(),
+                );
+                if writeln!(writer, "{reply}").is_err() {
+                    break;
+                }
+                line.clear();
+            }
+        }
+    });
+    (addr, received)
+}
+
 /// Mixed-version fleet protection: yesterday's build speaks protocol 2
-/// (its shard results carry no `objectives`), and the v3 handshake must
+/// (its shard results carry no `objectives`), and the handshake must
 /// reject it as `Incompatible` before a single shard is exchanged — a
 /// v2 worker silently admitted would poison the byte-identity of every
 /// merged generation.
 #[test]
 fn v2_worker_is_rejected_as_incompatible() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        let Ok((stream, _)) = listener.accept() else {
-            return;
-        };
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => return,
-        });
-        let mut writer = stream;
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            return;
-        }
-        let id = serde_json::from_str::<Value>(line.trim_end())
-            .ok()
-            .and_then(|v| v.get("id").cloned())
-            .unwrap_or(Value::Null);
-        let reply = naas_engine::service::ok_line(
-            &id,
-            serde_json::parse_str(r#"{"protocol": 2, "capabilities": ["evaluate_shard"]}"#)
-                .unwrap(),
-        );
-        let _ = writeln!(writer, "{reply}").and_then(|_| writer.flush());
-    });
-
+    let (addr, received) = spawn_old_build_worker(2);
     let mut worker = naas_engine::RemoteWorker::new(&addr);
-    worker.enable_handshake("v3-client");
+    worker.enable_handshake("v5-client");
     let err = worker.connect().expect_err("v2 worker must be refused");
     assert!(
         matches!(err, naas_engine::RemoteError::Incompatible(_)),
@@ -957,6 +1148,30 @@ fn v2_worker_is_rejected_as_incompatible() {
     assert!(
         !worker.is_connected(),
         "mismatch must not leave a connection"
+    );
+    assert_eq!(*received.lock().unwrap(), vec!["hello".to_string()]);
+}
+
+/// The 4→5 bump: a v4 worker still ships `per_network` with every
+/// accelerator-mode result, and a v5 coordinator dialing it must refuse
+/// it as `Incompatible` at connect time — the only line the worker ever
+/// sees is the handshake, never a shard.
+#[test]
+fn v4_worker_is_refused_before_any_shard_is_exchanged() {
+    let (scenario, _) = scenario_fixture();
+    let (addr, received) = spawn_old_build_worker(4);
+    let err = DistributedCoordinator::connect(&[addr], &scenario)
+        .err()
+        .expect("a v4 worker must be refused");
+    assert!(
+        matches!(err, naas_engine::RemoteError::Incompatible(_)),
+        "got {err}"
+    );
+    assert!(err.to_string().contains("protocol 4"), "got {err}");
+    assert_eq!(
+        *received.lock().unwrap(),
+        vec!["hello".to_string()],
+        "nothing but the handshake may reach an incompatible worker"
     );
 }
 

@@ -325,6 +325,10 @@ fn spawn_restartable_worker(fail_after: usize) -> SocketAddr {
         let mut answered = 0usize;
         'crash: for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
+            // Replies are single JSON lines; with Nagle on, each one
+            // waits out the coordinator's delayed ACK (as in
+            // `ServiceServer::serve_listener`).
+            let _ = stream.set_nodelay(true);
             let mut reader = BufReader::new(match stream.try_clone() {
                 Ok(clone) => clone,
                 Err(_) => break,
