@@ -365,28 +365,24 @@ impl Driver {
         }
     }
 
-    /// The cache figure of a progress line. Under `--workers` the
-    /// coordinator's engine cache is only a mirror of the fleet's gossip
-    /// — the workers' caches serve the search — so its hit rate means
-    /// nothing and only the mirror's size is shown.
-    fn cache_progress(&self, stats: &naas_engine::CacheStats) -> String {
-        match self {
-            Driver::Local => format!("cache {:.0}% hit", stats.hit_rate() * 100.0),
-            Driver::Distributed(_) => format!("cache mirror {} entries", stats.entries),
-        }
-    }
-
-    /// The final report's cache line (see [`Driver::cache_progress`]).
-    fn cache_report(&self, stats: &naas_engine::CacheStats) -> String {
-        match self {
-            Driver::Local => format!(
+    /// The cache figure of a progress line, or with `long` the final
+    /// report's cache line. Under `--workers` the coordinator's engine
+    /// cache is only a mirror of the fleet's gossip — the workers' caches
+    /// serve the search — so its hit rate means nothing and only the
+    /// mirror's size is shown.
+    fn cache_summary(&self, stats: &naas_engine::CacheStats, long: bool) -> String {
+        let fleet = matches!(self, Driver::Distributed(_));
+        match (fleet, long) {
+            (false, false) => format!("cache {:.0}% hit", stats.hit_rate() * 100.0),
+            (false, true) => format!(
                 "cache: {} entries, {} hits / {} misses ({:.0}% hit rate)",
                 stats.entries,
                 stats.hits,
                 stats.misses,
                 stats.hit_rate() * 100.0
             ),
-            Driver::Distributed(_) => format!(
+            (true, false) => format!("cache mirror {} entries", stats.entries),
+            (true, true) => format!(
                 "cache mirror: {} entries (the workers' caches served the search)",
                 stats.entries
             ),
@@ -625,7 +621,7 @@ fn drive(
             last.best_edp,
             last.mean_edp,
             last.valid,
-            driver.cache_progress(&state.cache_stats)
+            driver.cache_summary(&state.cache_stats, false)
         );
         write_metrics_snapshot(engine);
         let due = policy
@@ -650,7 +646,7 @@ fn drive(
         }
     }
     write_metrics_snapshot(engine);
-    let cache_line = driver.cache_report(&state.cache_stats);
+    let cache_line = driver.cache_summary(&state.cache_stats, true);
     report(state, started.elapsed(), &cache_line);
 }
 
@@ -663,23 +659,14 @@ fn cmd_show(args: &Args) {
     let snapshot: SearchCheckpoint = checkpoint::load(std::path::Path::new(path))
         .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}")));
     let state = &snapshot.state;
-    // A checkpoint with a shard plan was written by a fleet run, whose
-    // cache counters describe the coordinator's mirror (see
-    // `Driver::cache_progress`): its hit rate means nothing.
-    let cache = match snapshot.shards {
-        Some(_) => format!("cache mirror {} entries", state.cache_stats.entries),
-        None => format!(
-            "cache {} entries ({:.0}% hit)",
-            state.cache_stats.entries,
-            state.cache_stats.hit_rate() * 100.0
-        ),
-    };
     println!(
-        "scenario `{}`: generation {}/{}, {} evaluations, {cache}",
+        "scenario `{}`: generation {}/{}, {} evaluations, cache {} entries ({:.0}% hit)",
         snapshot.scenario.name,
         state.iteration,
         state.config.iterations,
         state.history().iter().map(|h| h.valid).sum::<usize>(),
+        state.cache_stats.entries,
+        state.cache_stats.hit_rate() * 100.0
     );
     match state.best() {
         Some(best) => println!(

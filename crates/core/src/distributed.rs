@@ -117,8 +117,8 @@
 //! [`accel_search_step_with`]: crate::accel_search::accel_search_step_with
 
 use crate::accel_search::{
-    accel_commit_scores, accel_sample_generation, evaluate_candidate, AccelSearchState,
-    CandidateEval, CandidateScore, SampledGeneration,
+    accel_commit_scores, accel_sample_generation, evaluate_candidate, evaluate_candidate_pooled,
+    AccelSearchState, CandidateEval, CandidateScore, SampledGeneration,
 };
 use crate::engine::CoSearchEngine;
 use crate::joint::{
@@ -692,13 +692,16 @@ impl DistributedCoordinator {
     /// speculation, local fallback — carries slim [`CandidateScore`]s.
     /// Where the commit installs a new incumbent, the coordinator
     /// rebuilds that candidate's per-network reports from its own memo
-    /// cache, which the fleet's `cache_delta` gossip keeps complete:
-    /// pure hits normally, and a plain recompute for an entry that is
-    /// missing (evicted under `--cache-cap`, or lost with a dropped
-    /// duplicate reply). The rebuilt reward and objectives are checked
-    /// bit for bit against the wire values; on a mismatch the rebuild
-    /// wins for that slot, and the coordinator warns
-    /// (`incumbent_mismatch`) and counts it.
+    /// cache, which the fleet's `cache_delta` gossip fills with every
+    /// entry a worker computes for this coordinator. Entries the workers
+    /// already held are not gossiped — a worker cache warmed from
+    /// `--cache-file` or by an earlier search or run on the same fleet
+    /// (a re-run, a `resume`) — and entries can be evicted under
+    /// `--cache-cap` or lost with a dropped duplicate reply; the rebuild
+    /// recomputes what is missing, spread over the engine's pool. The
+    /// rebuilt reward and objectives are compared with the wire values;
+    /// on a mismatch the rebuild wins for that slot, and the coordinator
+    /// warns (`incumbent_mismatch`) and counts it.
     ///
     /// The real state only ever advances through the real sample and
     /// commit, so the trajectory is bit-identical to the barrier path at
@@ -881,7 +884,7 @@ impl DistributedCoordinator {
         let generation = self.generation;
         accel_commit_scores(state, sampled, results, |slot, accel, wire| {
             let rebuilt =
-                evaluate_candidate(engine, model, accel, networks, &cfg.mapping, cfg.reward);
+                evaluate_candidate_pooled(engine, model, accel, networks, &cfg.mapping, cfg.reward);
             check_rebuilt_incumbent(generation, slot, wire, rebuilt.as_ref());
             rebuilt
         });
@@ -1554,7 +1557,7 @@ impl DistributedCoordinator {
             .iter()
             .map(|s| (s.synced, s.full_resync))
             .collect();
-        let mut setups: Vec<Option<(Option<Delta>, bool)>> =
+        let mut setups: Vec<Option<(Option<Value>, bool)>> =
             (0..worker_count).map(|_| None).collect();
         for &w in live {
             let cache = self.take_cache_param(engine, w);
@@ -1748,18 +1751,16 @@ impl DistributedCoordinator {
         slot.alive && capability.is_none_or(|c| slot.remote.has_capability(c))
     }
 
-    /// Takes the snapshot for the `cache` parameter of `widx`'s first
-    /// shard request of the generation and advances its sync point: an
+    /// Builds the `cache` parameter value for `widx`'s first shard
+    /// request of the generation and advances its sync point: an
     /// incremental delta of every logged entry this worker has not seen
     /// and did not itself report — or, right after a rejoin, a full
     /// snapshot of the coordinator's engine cache (the restarted worker
     /// lost everything; this is the backlog replay that makes it warm
     /// again). Values are fetched from the engine cache at build time,
     /// so evicted entries simply drop out of the relay. Returns `None`
-    /// when the worker is already up to date. The JSON encoding is left
-    /// to the worker's scheduler thread, so the fleet's relays encode in
-    /// parallel instead of on the generation's serial start.
-    fn take_cache_param(&mut self, engine: &CoSearchEngine, widx: usize) -> Option<Delta> {
+    /// when the worker is already up to date.
+    fn take_cache_param(&mut self, engine: &CoSearchEngine, widx: usize) -> Option<Value> {
         let full_resync = std::mem::take(&mut self.workers[widx].full_resync);
         let synced = self.workers[widx].synced;
         let snapshot = if full_resync {
@@ -1781,7 +1782,7 @@ impl DistributedCoordinator {
             .coordinator
             .deltas_gossiped
             .add(snapshot.entries.len() as u64);
-        Some(snapshot)
+        Some(serde_json::to_value(&snapshot))
     }
 
     /// Folds a worker's reply delta into the coordinator: absorb the
@@ -2268,7 +2269,7 @@ struct MergeState<T> {
 fn worker_loop<T: Send + Clone>(
     remote: &mut RemoteWorker,
     widx: usize,
-    mut cache_param: Option<Delta>,
+    mut cache_param: Option<Value>,
     rate_known: bool,
     cfg: SchedCfg,
     sched: &Mutex<Sched>,
@@ -2418,7 +2419,7 @@ fn worker_loop<T: Send + Clone>(
                 build(range)
             };
             if let Some(cache) = cache_param.take() {
-                params.push(("cache".to_string(), serde_json::to_value(&cache)));
+                params.push(("cache".to_string(), cache));
             }
             match remote.send("evaluate_shard", params) {
                 Ok(id) => {
@@ -2650,8 +2651,10 @@ fn check_rebuilt_incumbent(
     wire: CandidateScore,
     rebuilt: Option<&CandidateEval>,
 ) {
+    // `validate_wire_eval` admitted no NaN, so the derived `==` is exact.
+    // It only decides whether to warn: the commit folds the rebuild.
     let rebuilt = rebuilt.map(CandidateEval::score);
-    if rebuilt.is_some_and(|score| same_bits(&score, &wire)) {
+    if rebuilt == Some(wire) {
         return;
     }
     telemetry::metrics().coordinator.incumbent_mismatches.inc();
@@ -2673,17 +2676,6 @@ fn check_rebuilt_incumbent(
             ),
         ],
     );
-}
-
-/// Bit-for-bit equality of two scores (`==` on floats would equate
-/// `0.0` with `-0.0`).
-fn same_bits(a: &CandidateScore, b: &CandidateScore) -> bool {
-    let (x, y) = (&a.objectives, &b.objectives);
-    a.reward.to_bits() == b.reward.to_bits()
-        && x.latency_cycles == y.latency_cycles
-        && x.energy_nj.to_bits() == y.energy_nj.to_bits()
-        && x.area_um2.to_bits() == y.area_um2.to_bits()
-        && x.accuracy.to_bits() == y.accuracy.to_bits()
 }
 
 /// Decodes the framing shared by both shard-reply shapes: the `results`

@@ -239,20 +239,65 @@ pub fn network_mapping_search_memo(
     cache: &MappingMemo,
     design_fp: u64,
 ) -> Option<NetworkCost> {
-    let fp = design_fp;
     let mut layers = Vec::with_capacity(network.len());
     for layer in network {
-        let key = LayerKey::of(layer);
-        let result = cache.get_or_compute(fp, key, || {
-            let seeded = MappingSearchConfig {
-                seed: layer_search_seed(cfg.seed, fp, &key),
-                ..*cfg
-            };
-            search_layer_mapping(model, layer, accel, &seeded)
-        })?;
+        let result = layer_mapping_search_memo(model, layer, accel, cfg, cache, design_fp)?;
         layers.push(result.cost);
     }
     Some(NetworkCost { layers })
+}
+
+/// One layer's step of [`network_mapping_search_memo`]: the memoized,
+/// content-seeded mapping search (`None` = no valid mapping, cached too).
+fn layer_mapping_search_memo(
+    model: &CostModel,
+    layer: &ConvSpec,
+    accel: &Accelerator,
+    cfg: &MappingSearchConfig,
+    cache: &MappingMemo,
+    design_fp: u64,
+) -> Option<MappingSearchResult> {
+    let key = LayerKey::of(layer);
+    cache.get_or_compute(design_fp, key, || {
+        let seeded = MappingSearchConfig {
+            seed: layer_search_seed(cfg.seed, design_fp, &key),
+            ..*cfg
+        };
+        search_layer_mapping(model, layer, accel, &seeded)
+    })
+}
+
+/// Runs the layer searches of `networks` on one design that `cache`
+/// does not hold yet, spread over up to `threads` pool threads, so that
+/// a following [`network_mapping_search_memo`] over the same networks
+/// is all cache hits. Each distinct layer shape is searched once, and
+/// entries are pure functions of their keys, so filling them in any
+/// order changes no answer. When the cache already holds every entry
+/// this costs one peek per layer and starts no thread.
+pub(crate) fn prefill_layer_searches(
+    threads: usize,
+    model: &CostModel,
+    networks: &[Network],
+    accel: &Accelerator,
+    cfg: &MappingSearchConfig,
+    cache: &MappingMemo,
+    design_fp: u64,
+) {
+    let mut seen = std::collections::HashSet::new();
+    let missing: Vec<&ConvSpec> = networks
+        .iter()
+        .flatten()
+        .filter(|layer| {
+            let key = LayerKey::of(layer);
+            seen.insert(key) && cache.peek(design_fp, &key).is_none()
+        })
+        .collect();
+    if missing.is_empty() {
+        return;
+    }
+    naas_engine::parallel_map(threads, &missing, |_, layer| {
+        layer_mapping_search_memo(model, layer, accel, cfg, cache, design_fp);
+    });
 }
 
 #[cfg(test)]

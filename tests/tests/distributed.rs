@@ -847,6 +847,43 @@ fn capped_coordinator_cache_rebuilds_incumbents_bit_identically() {
     );
 }
 
+/// A worker gossips only the entries it computes for the coordinator it
+/// serves. A second coordinator on workers that a first search warmed
+/// therefore learns almost nothing from the fleet and rebuilds each new
+/// incumbent's reports itself, spread over its engine pool — and its
+/// run, per-network costs included, is still bit-identical to the
+/// single-process one.
+#[test]
+fn fresh_coordinator_on_warm_workers_rebuilds_incumbents_bit_identically() {
+    let (scenario, networks) = scenario_fixture();
+    let cfg = search_cfg(111);
+    let local = run_local(&cfg, &networks);
+
+    let addrs = vec![spawn_worker(1).to_string(), spawn_worker(1).to_string()];
+    let job = scenario.resolve().unwrap();
+    let model = CostModel::new();
+    let search = || {
+        let mut coordinator =
+            DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
+        let engine = CoSearchEngine::new(2);
+        let mut state = accel_search_init(&job.constraint, &cfg, &[]);
+        while coordinator.step(&engine, &model, &networks, &mut state) {}
+        let result = state.into_result().expect("search finds a design");
+        (result, engine.cache_stats())
+    };
+    let (cold, cold_mirror) = search();
+    assert_bit_identical(&cold, &local, "first coordinator, cold workers");
+    let (warm, warm_mirror) = search();
+    assert_bit_identical(&warm, &local, "second coordinator, warm workers");
+    assert!(
+        warm_mirror.misses > cold_mirror.misses,
+        "the warm fleet gossips (almost) nothing, so the rebuild recomputes: \
+         {} misses warm, {} cold",
+        warm_mirror.misses,
+        cold_mirror.misses
+    );
+}
+
 /// An in-memory JSONL sink for the process-global event log.
 #[derive(Clone, Default)]
 struct EventBuffer(Arc<std::sync::Mutex<Vec<u8>>>);
