@@ -91,8 +91,9 @@
 //! reports — which replies no longer carry — see fleet-wide results)
 //! and relays it to the other workers on their next shard request — a
 //! `(design, layer-shape)` pair solved anywhere is solved everywhere,
-//! without workers knowing about each other. Relaying is sound for the same reason sharing the
-//! in-process cache is: entries are pure functions of their keys.
+//! without workers knowing about each other. Relaying is sound for the
+//! same reason sharing the in-process cache is: entries are pure
+//! functions of their keys.
 //!
 //! For week-long fleets the relay bookkeeping is bounded: the delta log
 //! is compacted at every generation boundary (the prefix every live
@@ -2642,9 +2643,10 @@ fn shard_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
 }
 
 /// Checks the coordinator's rebuild of a new incumbent against the wire
-/// score it completes. A disagreement means the worker's reply and the
-/// cache entries gossiped for it contradict each other; the commit keeps
-/// the rebuild, and the disagreement is counted and reported here.
+/// score it completes. A disagreement means the worker's reply
+/// contradicts the mapping results the coordinator holds or recomputed
+/// for it; the commit keeps the rebuild, and the disagreement is counted
+/// and reported here.
 fn check_rebuilt_incumbent(
     generation: usize,
     slot: usize,
@@ -2663,7 +2665,7 @@ fn check_rebuilt_incumbent(
         "incumbent_mismatch",
         &format!(
             "generation {generation} slot {slot}: the wire score (reward {}) disagrees with \
-             the coordinator's rebuild from gossiped cache entries; keeping the rebuild",
+             the coordinator's rebuild of the candidate; keeping the rebuild",
             wire.reward
         ),
         &[
