@@ -397,33 +397,6 @@ pub fn evaluate_candidate(
     })
 }
 
-/// [`evaluate_candidate`] for one candidate on the whole engine pool:
-/// the layer searches the cache lacks run in parallel first, so the
-/// evaluation itself is all cache hits. Same answer as
-/// [`evaluate_candidate`]. The distributed coordinator rebuilds each new
-/// incumbent this way, because its gossip-fed cache can lack entries the
-/// workers hold (caches warmed before this coordinator, `--cache-cap`
-/// evictions).
-pub(crate) fn evaluate_candidate_pooled(
-    engine: &CoSearchEngine,
-    model: &CostModel,
-    accel: &Accelerator,
-    networks: &[Network],
-    mapping_cfg: &MappingSearchConfig,
-    reward_kind: RewardKind,
-) -> Option<CandidateEval> {
-    crate::mapping_search::prefill_layer_searches(
-        engine.threads(),
-        model,
-        networks,
-        accel,
-        mapping_cfg,
-        engine.cache(),
-        crate::mapping_search::design_fingerprint(accel, mapping_cfg),
-    );
-    evaluate_candidate(engine, model, accel, networks, mapping_cfg, reward_kind)
-}
-
 /// Advances the search by one generation: sample, evaluate the population
 /// on the engine's work-stealing pool, update the optimizer. Returns
 /// `false` (without doing work) once the budget is exhausted.

@@ -118,15 +118,17 @@
 //! [`accel_search_step_with`]: crate::accel_search::accel_search_step_with
 
 use crate::accel_search::{
-    accel_commit_scores, accel_sample_generation, evaluate_candidate, evaluate_candidate_pooled,
-    AccelSearchState, CandidateEval, CandidateScore, SampledGeneration,
+    accel_commit_scores, accel_sample_generation, evaluate_candidate, AccelSearchState,
+    CandidateEval, CandidateScore, SampledGeneration,
 };
 use crate::engine::CoSearchEngine;
 use crate::joint::{
     evaluate_joint_candidate, joint_commit_generation, joint_nas_seed, joint_sample_generation,
     joint_search_step_with, JointCandidateEval, JointSearchState,
 };
-use crate::mapping_search::{design_fingerprint, network_mapping_search_memo, MappingSearchResult};
+use crate::mapping_search::{
+    design_fingerprint, network_mapping_search_memo, prefill_layer_searches, MappingSearchResult,
+};
 use crate::pareto::ParetoArchive;
 use naas_accel::{area::AreaModel, Accelerator};
 use naas_cost::{CostModel, NetworkCost, ObjectiveVector};
@@ -884,8 +886,20 @@ impl DistributedCoordinator {
         // new incumbent gets its per-network reports rebuilt.
         let generation = self.generation;
         accel_commit_scores(state, sampled, results, |slot, accel, wire| {
+            // Entries the gossip did not bring (warm workers, evictions)
+            // are searched on the pool first, so the rebuild is all hits.
+            let fp = design_fingerprint(accel, &cfg.mapping);
+            prefill_layer_searches(
+                engine.threads(),
+                model,
+                networks,
+                accel,
+                &cfg.mapping,
+                engine.cache(),
+                fp,
+            );
             let rebuilt =
-                evaluate_candidate_pooled(engine, model, accel, networks, &cfg.mapping, cfg.reward);
+                evaluate_candidate(engine, model, accel, networks, &cfg.mapping, cfg.reward);
             check_rebuilt_incumbent(generation, slot, wire, rebuilt.as_ref());
             rebuilt
         });
