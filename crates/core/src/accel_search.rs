@@ -453,13 +453,10 @@ where
 ///
 /// Produced by [`accel_sample_generation`], consumed by
 /// [`accel_commit_generation`]; [`accel_search_step_with`] is exactly
-/// the two in sequence around one evaluator call. The split is the
-/// optimizer fork/rollback seam the overlapped coordinator
-/// (`crate::distributed`) builds on: a speculative next generation is
-/// sampled from a *cloned* state fed a predicted commit, and reusing its
-/// evaluations is gated on whole-struct equality with the real sample —
-/// candidates are pure functions of their content, so equal samples mean
-/// equal results.
+/// the two in sequence around one evaluator call. The split is the seam
+/// the fleet coordinator (`crate::distributed`) builds on: it samples,
+/// evaluates the slots on its workers, and commits their slim scores
+/// through [`accel_commit_scores`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampledGeneration {
     /// The iteration this generation was sampled for.

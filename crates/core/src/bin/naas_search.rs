@@ -7,32 +7,37 @@
 //!                            [--cache-file FILE] [--cache-cap N]
 //!                            [--workers host:port,...] [--metrics-file FILE]
 //!                            [--microshards N] [--steal-deadline MS]
-//!                            [--overlap on|off] [--objectives scalar|pareto]
+//!                            [--objectives scalar|pareto]
 //! naas-search run --file scenario.json [...]
-//! naas-search resume <checkpoint-file> [--threads N] [--cache-file FILE]
-//!                                      [--cache-cap N]
+//! naas-search resume <checkpoint-file> [--threads N] [--every K]
+//!                                      [--cache-file FILE] [--cache-cap N]
 //!                                      [--workers host:port,...|local]
 //!                                      [--metrics-file FILE]
 //!                                      [--microshards N] [--steal-deadline MS]
-//!                                      [--overlap on|off]
 //!                                      [--objectives scalar|pareto]
 //! naas-search show <checkpoint-file>
 //! naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper]
-//!                   [--threads N] [--cache-file FILE] [--cache-cap N]
-//!                   [--metrics-file FILE]
+//!                   [--seed N] [--threads N] [--cache-file FILE]
+//!                   [--cache-cap N] [--metrics-file FILE]
 //! naas-search worker --port N [--bind ADDR] [--preset smoke|quick|paper]
-//!                    [--threads N] [--cache-file FILE] [--cache-cap N]
-//!                    [--metrics-file FILE]
-//! naas-search gateway [--port N] [--bind ADDR] [--max-jobs N]
-//!                     [--tenant-quota N] [--executors N]
-//!                     [--workers host:port,...] [--threads N]
-//!                     [--cache-file FILE] [--cache-cap N]
-//!                     [--metrics-file FILE] [--overlap on|off]
+//!                    [--seed N] [--threads N] [--cache-file FILE]
+//!                    [--cache-cap N] [--metrics-file FILE]
+//! naas-search gateway [--port N] [--bind ADDR] [--preset smoke|quick|paper]
+//!                     [--seed N] [--max-jobs N] [--tenant-quota N]
+//!                     [--executors N] [--workers host:port,...]
+//!                     [--threads N] [--cache-file FILE] [--cache-cap N]
+//!                     [--metrics-file FILE] [--microshards N]
+//!                     [--steal-deadline MS]
 //! naas-search client <host:port> [metrics]
 //! naas-search client <host:port> submit --scenario NAME [--kind accel|joint]
 //!                     [--tenant T] [--weight N] [--seed N] [--preset quick|paper]
 //! naas-search client <host:port> status|events|cancel|result|wait --job N
+//!                     [--since N] [--follow true]
 //! ```
+//!
+//! A flag the subcommand does not read is a usage error naming it
+//! (exit status 2), so a mistyped or retired flag never silently falls
+//! back to a default.
 //!
 //! `run` executes an accelerator search for a registered scenario (or one
 //! loaded from a JSON file), optionally checkpointing every K generations;
@@ -60,28 +65,16 @@
 //! single-process).
 //!
 //! `--microshards N` tunes how many micro-shards each live worker's
-//! queue is cut into per generation (default 6; `0` selects the static
-//! one-shard-per-worker scheduler, which disables work stealing and
-//! speculative re-issue). `--steal-deadline MS` is the age after which
-//! an in-flight micro-shard is speculatively re-issued to an idle
-//! worker (default 500 ms, first answer wins). Both are scheduling
-//! knobs only — results stay bit-identical at any setting — and both
-//! are recorded in the checkpointed shard plan, so `resume` keeps the
-//! tuning unless overridden. See docs/OPERATIONS.md ("Tuning the
-//! scheduler"). Degenerate tunings (`--steal-deadline 0`,
-//! `--microshards` above the population) are rejected at parse time.
-//!
-//! `--overlap on` switches the coordinator from the barrier scheduler
-//! to the event-driven overlap reactor: while a generation's
-//! micro-shards are in flight, the next generation is speculatively
-//! sampled from a forked optimizer state and dispatched to workers
-//! that would otherwise idle; if merging the real results changes the
-//! trajectory, the speculation is rolled back and re-asked. Results
-//! stay bit-identical to `--overlap off` (the default) at any
-//! completion order — overlap is a latency optimization, never a
-//! semantic one. The setting is recorded in the checkpointed shard
-//! plan, so `resume` keeps it unless overridden. See
-//! docs/ARCHITECTURE.md ("The overlap reactor").
+//! queue is cut into per generation (default 6). `--steal-deadline MS`
+//! is the age after which an in-flight micro-shard is speculatively
+//! re-issued to an idle worker (default 500 ms, first answer wins).
+//! Both are scheduling knobs only — results stay bit-identical at any
+//! setting — and both are recorded in the checkpointed shard plan, so
+//! `resume` keeps the tuning unless overridden (a checkpoint recording
+//! the retired static plan, `microshards: 0`, resumes on the default).
+//! See docs/OPERATIONS.md ("Tuning the scheduler"). Degenerate tunings
+//! (`--microshards 0`, `--steal-deadline 0`, `--microshards` above the
+//! population) are rejected before any worker is dialed.
 //!
 //! `--cache-file` persists the engine's mapping memo cache: entries are
 //! warm-loaded before the search starts (if the file exists) and the
@@ -105,7 +98,7 @@
 //! (a mismatch is a hard error, because switching policies mid-run
 //! would make the resumed front unreproducible).
 //!
-//! `gateway` is the multi-tenant job multiplexer (protocol 4, `"jobs"`
+//! `gateway` is the multi-tenant job multiplexer (the `"jobs"`
 //! capability): it serves everything `serve` does *plus* the `job_*`
 //! command family, running many concurrent accel/joint search jobs as
 //! checkpointed step-loops interleaved on one shared engine — and, with
@@ -151,24 +144,24 @@ fn usage() -> ! {
         "usage:\n  naas-search list\n  naas-search run <scenario|--file scenario.json> \
          [--preset smoke|quick|paper] [--seed N] [--threads N] [--checkpoint FILE] [--every K] \
          [--cache-file FILE] [--cache-cap N] [--workers host:port,...] [--metrics-file FILE] \
-         [--microshards N] [--steal-deadline MS] [--overlap on|off] \
-         [--objectives scalar|pareto]\n  \
+         [--microshards N] [--steal-deadline MS] [--objectives scalar|pareto]\n  \
          naas-search resume <checkpoint-file> [--threads N] [--every K] [--cache-file FILE] \
          [--cache-cap N] [--workers host:port,...|local] [--metrics-file FILE] \
-         [--microshards N] [--steal-deadline MS] [--overlap on|off] \
-         [--objectives scalar|pareto]\n  \
+         [--microshards N] [--steal-deadline MS] [--objectives scalar|pareto]\n  \
          naas-search show <checkpoint-file>\n  \
-         naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper] \
+         naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
          [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
-         naas-search worker --port N [--bind ADDR] [--preset smoke|quick|paper] \
+         naas-search worker --port N [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
          [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
-         naas-search gateway [--port N] [--bind ADDR] [--max-jobs N] [--tenant-quota N] \
-         [--executors N] [--workers host:port,...] [--threads N] [--cache-file FILE] \
-         [--cache-cap N] [--metrics-file FILE] [--overlap on|off]\n  \
+         naas-search gateway [--port N] [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
+         [--max-jobs N] [--tenant-quota N] [--executors N] [--workers host:port,...] \
+         [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE] \
+         [--microshards N] [--steal-deadline MS]\n  \
          naas-search client <host:port> [metrics]\n  \
          naas-search client <host:port> submit --scenario NAME [--kind accel|joint] \
          [--tenant T] [--weight N] [--seed N] [--preset quick|paper]\n  \
-         naas-search client <host:port> status|events|cancel|result|wait --job N",
+         naas-search client <host:port> status|events|cancel|result|wait --job N \
+         [--since N] [--follow true]",
         &[],
     );
     exit(2);
@@ -182,6 +175,71 @@ fn fail(msg: impl std::fmt::Display) -> ! {
         &[("error", Value::Str(msg.to_string()))],
     );
     exit(1);
+}
+
+/// The `--flags` each subcommand reads; `None` for an unknown
+/// subcommand.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    const SERVICE: &[&str] = &[
+        "port",
+        "bind",
+        "preset",
+        "seed",
+        "threads",
+        "cache-file",
+        "cache-cap",
+        "metrics-file",
+    ];
+    Some(match cmd {
+        "list" | "show" => &[],
+        "run" => &[
+            "file",
+            "preset",
+            "seed",
+            "threads",
+            "checkpoint",
+            "every",
+            "cache-file",
+            "cache-cap",
+            "workers",
+            "metrics-file",
+            "microshards",
+            "steal-deadline",
+            "objectives",
+        ],
+        "resume" => &[
+            "threads",
+            "every",
+            "cache-file",
+            "cache-cap",
+            "workers",
+            "metrics-file",
+            "microshards",
+            "steal-deadline",
+            "objectives",
+        ],
+        "serve" | "worker" => SERVICE,
+        "gateway" => &[
+            "port",
+            "bind",
+            "preset",
+            "seed",
+            "threads",
+            "cache-file",
+            "cache-cap",
+            "metrics-file",
+            "max-jobs",
+            "tenant-quota",
+            "executors",
+            "workers",
+            "microshards",
+            "steal-deadline",
+        ],
+        "client" => &[
+            "scenario", "kind", "tenant", "weight", "seed", "preset", "job", "since", "follow",
+        ],
+        _ => return None,
+    })
 }
 
 /// Tiny flag parser: positionals plus `--key value` options.
@@ -226,15 +284,30 @@ impl Args {
 
 fn main() {
     let args = Args::parse(std::env::args().skip(1).collect());
-    match args.positional.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(&args),
-        Some("resume") => cmd_resume(&args),
-        Some("show") => cmd_show(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("worker") => cmd_worker(&args),
-        Some("gateway") => cmd_gateway(&args),
-        Some("client") => cmd_client(&args),
+    let cmd = args.positional.first().map_or("", String::as_str);
+    let known = known_flags(cmd).unwrap_or_else(|| usage());
+    if let Some((key, _)) = args
+        .options
+        .iter()
+        .find(|(k, _)| !known.contains(&k.as_str()))
+    {
+        telemetry::events().emit(
+            Level::Error,
+            "unknown_flag",
+            &format!("naas-search {cmd}: unknown flag `--{key}`"),
+            &[("flag", Value::Str(format!("--{key}")))],
+        );
+        usage();
+    }
+    match cmd {
+        "list" => cmd_list(),
+        "run" => cmd_run(&args),
+        "resume" => cmd_resume(&args),
+        "show" => cmd_show(&args),
+        "serve" => cmd_serve(&args),
+        "worker" => cmd_worker(&args),
+        "gateway" => cmd_gateway(&args),
+        "client" => cmd_client(&args),
         _ => usage(),
     }
 }
@@ -421,11 +494,12 @@ fn make_driver(args: &Args, workers: Option<&str>, scenario: &Scenario) -> Drive
     Driver::Distributed(Box::new(coordinator))
 }
 
-/// Applies `--microshards` / `--steal-deadline` / `--overlap` to a
-/// coordinator. On resume, a recorded shard `plan` supplies the
-/// defaults (the tuning an interrupted run was using), and explicit
-/// flags override it; old checkpoints without the fields keep the
-/// built-in defaults. Tuning never changes results — only how fast
+/// Applies `--microshards` / `--steal-deadline` to a coordinator. On
+/// resume, a recorded shard `plan` supplies the defaults (the tuning an
+/// interrupted run was using), and explicit flags override it; old
+/// checkpoints without the fields keep the built-in defaults, and a
+/// recorded `microshards: 0` (the retired static plan) selects the
+/// default too. Tuning never changes results — only how fast
 /// generations clear.
 fn apply_scheduler_flags(
     coordinator: &mut naas::DistributedCoordinator,
@@ -440,19 +514,6 @@ fn apply_scheduler_flags(
     if let Some(ms) = args.get_num::<u64>("steal-deadline").or(recorded_ms) {
         coordinator.set_steal_deadline(std::time::Duration::from_millis(ms));
     }
-    let recorded_overlap = plan.and_then(|p| p.overlap);
-    if let Some(on) = overlap_flag(args).or(recorded_overlap) {
-        coordinator.set_overlap(on);
-    }
-}
-
-/// Parses `--overlap on|off`; `None` when the flag is absent.
-fn overlap_flag(args: &Args) -> Option<bool> {
-    args.get("overlap").map(|v| match v {
-        "on" => true,
-        "off" => false,
-        other => fail(format!("--overlap expects `on` or `off`, got `{other}`")),
-    })
 }
 
 /// Rejects degenerate scheduler tunings at parse time, before any
@@ -462,7 +523,7 @@ fn overlap_flag(args: &Args) -> Option<bool> {
 /// validated by the run that wrote them.
 fn check_scheduler_flags(args: &Args, population: usize) {
     naas::validate_scheduler_flags(
-        args.get_num("microshards").unwrap_or(0),
+        args.get_num("microshards"),
         args.get_num("steal-deadline").unwrap_or(1),
         population,
     )
@@ -855,22 +916,19 @@ fn cmd_gateway(args: &Args) {
             if addrs.is_empty() {
                 fail("--workers expects a comma-separated host:port list (or `local`)");
             }
-            let coordinator = naas::DistributedCoordinator::connect_fleet(&addrs)
-                .unwrap_or_else(|e| fail(format!("cannot connect worker fleet: {e}")));
             // Gateway jobs pick their own populations per preset, so
             // the microshard bound cannot be checked here — the
             // coordinator clamps shard counts per generation anyway.
-            // The steal-deadline check still applies.
+            // The zero checks still apply, before any worker is dialed.
             check_scheduler_flags(args, usize::MAX);
+            let coordinator = naas::DistributedCoordinator::connect_fleet(&addrs)
+                .unwrap_or_else(|e| fail(format!("cannot connect worker fleet: {e}")));
             let shared = naas::SharedCoordinator::new(coordinator);
             shared.configure(
                 args.get_num("microshards"),
                 args.get_num::<u64>("steal-deadline")
                     .map(std::time::Duration::from_millis),
             );
-            if let Some(on) = overlap_flag(args) {
-                shared.set_overlap(on);
-            }
             println!(
                 "gateway sharding over {} worker(s): {}",
                 addrs.len(),

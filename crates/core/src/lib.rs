@@ -58,8 +58,7 @@ pub use accel_search::{
     NoValidDesign, SampledGeneration, SearchStrategy,
 };
 pub use distributed::{
-    validate_scheduler_flags, DistributedCoordinator, OverlapStats, SchedulerStats, ShardPlan,
-    SharedCoordinator,
+    validate_scheduler_flags, DistributedCoordinator, SchedulerStats, ShardPlan, SharedCoordinator,
 };
 pub use engine::CoSearchEngine;
 pub use gateway::{GatewayConfig, GatewayService, JobStatus};

@@ -129,7 +129,6 @@ pub const CAPABILITIES: &[&str] = &[
     "evaluate_shard",
     "search_step",
     "joint",
-    "joint_unit",
     "cache_gossip",
     "metrics",
     "objectives",
@@ -760,10 +759,9 @@ impl BatchEvalService {
             ));
         }
 
-        let entries = match (request.param("joint_unit"), request.param("joint")) {
-            (Some(unit), _) => self.evaluate_joint_unit_shard(unit, &candidates, &mapping)?,
-            (None, Some(joint)) => self.evaluate_joint_shard(joint, &candidates, &mapping)?,
-            (None, None) => self.evaluate_accel_shard(request, &candidates, &mapping)?,
+        let entries = match request.param("joint") {
+            Some(joint) => self.evaluate_joint_shard(joint, &candidates, &mapping)?,
+            None => self.evaluate_accel_shard(request, &candidates, &mapping)?,
         };
         Ok(Value::Object(vec![
             ("count".to_string(), Value::U64(entries.len() as u64)),
@@ -869,61 +867,6 @@ impl BatchEvalService {
             .map(|outcome| match outcome {
                 None => Value::Null,
                 Some(out) => serde_json::to_value(out),
-            })
-            .collect())
-    }
-
-    /// The sub-candidate joint mode of [`Self::evaluate_shard`]
-    /// (`joint_unit` parameter, gated on the `joint_unit` capability):
-    /// each entry of the shard is one **work unit** — one subnet mapped
-    /// onto one accelerator design (`candidates[i]` pairs with
-    /// `joint_unit.subnets[i]`; a design repeats once per unit that
-    /// targets it, keeping the candidates/results cardinality contract
-    /// of the wire format intact). The worker runs only the inner
-    /// mapping search — the NAS evolution consuming these scores lives
-    /// on the coordinator — and answers the raw [`naas_cost::NetworkCost`] per
-    /// unit (`null` = no feasible mapping). Content-derived seeds make
-    /// each unit a pure function of `(design, subnet, mapping config)`,
-    /// so where a unit lands never changes its answer.
-    fn evaluate_joint_unit_shard(
-        &self,
-        joint_unit: &Value,
-        candidates: &[Accelerator],
-        mapping: &MappingSearchConfig,
-    ) -> Result<Vec<Value>, ServiceError> {
-        let subnets: Vec<naas_nas::Subnet> =
-            serde_json::from_value(joint_unit.get("subnets").ok_or_else(|| {
-                ServiceError::BadRequest(
-                    "`joint_unit.subnets` (one subnet per candidate) is required".into(),
-                )
-            })?)
-            .map_err(|e| {
-                ServiceError::BadRequest(format!("invalid joint_unit.subnets array: {e}"))
-            })?;
-        if subnets.len() != candidates.len() {
-            return Err(ServiceError::BadRequest(format!(
-                "joint_unit.subnets/candidates length mismatch: {} vs {}",
-                subnets.len(),
-                candidates.len()
-            )));
-        }
-        let units: Vec<(&Accelerator, naas_nas::Subnet)> = candidates.iter().zip(subnets).collect();
-        let results = parallel_map(self.threads(), &units, |_idx, (accel, subnet)| {
-            let design_fp = mapping_search::design_fingerprint(accel, mapping);
-            mapping_search::network_mapping_search_memo(
-                &self.model,
-                &subnet.to_network(),
-                accel,
-                mapping,
-                self.engine.cache(),
-                design_fp,
-            )
-        });
-        Ok(results
-            .iter()
-            .map(|cost| match cost {
-                None => Value::Null,
-                Some(cost) => serde_json::to_value(cost),
             })
             .collect())
     }

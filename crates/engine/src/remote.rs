@@ -375,7 +375,7 @@ impl RemoteWorker {
     /// Claims the next pipelined reply only if one has **already
     /// arrived** — a full response line sitting in the read buffer.
     /// Never blocks on the socket: this is the event-driven fast path
-    /// of the scheduler's reactor loop, letting a worker thread drain
+    /// of the scheduler's worker loop, letting a worker thread drain
     /// every reply that has landed before paying a blocking tick on
     /// [`RemoteWorker::recv_next`].
     ///

@@ -55,12 +55,14 @@ use std::sync::{Condvar, Mutex};
 /// results to `{reward, objectives}`: the per-network cost reports are
 /// no longer shipped (the coordinator rebuilds them from its gossip-fed
 /// cache for the incumbent alone), and removing a required field is
-/// incompatible. A
-/// client and server interoperate only on an exact match — the
+/// incompatible. Version 6 removed the sub-candidate joint mode of
+/// `evaluate_shard` and the overlap reactor's four required counters
+/// from the `metrics` coordinator section. A client and server
+/// interoperate only on an exact match — the
 /// distributed driver ships serialized configs and search states whose
 /// layout follows the crate types, so "close enough" versions are
 /// exactly the undefined behaviour the handshake exists to rule out.
-pub const PROTOCOL_VERSION: u64 = 5;
+pub const PROTOCOL_VERSION: u64 = 6;
 
 /// A parsed service request: the echoed `id`, the command name, and the
 /// full request object (commands read their parameters out of it).

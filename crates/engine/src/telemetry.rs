@@ -434,16 +434,6 @@ pub struct CoordinatorSnapshot {
     /// encoded as raw `f64` bits (`f64::to_bits`) so the snapshot stays
     /// `Eq`-comparable; decode with `f64::from_bits`.
     pub pareto_hypervolume_bits: u64,
-    /// Speculative next-generation asks fired by the overlap reactor.
-    pub overlap_asks: u64,
-    /// Speculative asks rolled back (mispredicted trajectory, evicted
-    /// fork, or a search that finished under a banked ask).
-    pub overlap_rollbacks: u64,
-    /// Milliseconds of speculative work overlapped with a primary
-    /// generation's in-flight tail.
-    pub overlap_ms: u64,
-    /// Sub-candidate joint work units merged (`joint_unit` wire mode).
-    pub joint_units: u64,
     /// New incumbents whose coordinator-side rebuild disagreed with the
     /// worker's wire score (the rebuild was kept). Nonzero means a
     /// worker's replies contradict the cache entries it gossiped.
@@ -580,16 +570,6 @@ pub struct CoordinatorMetrics {
     /// `f64::from_bits`). Monotone per run — a stalling value alerts
     /// on a front that stopped improving.
     pub pareto_hypervolume_bits: Gauge,
-    /// Speculative next-generation asks fired by the overlap reactor.
-    pub overlap_asks: Counter,
-    /// Speculative asks rolled back instead of hitting. A rollback
-    /// rate near the ask rate means speculation is pure waste — see
-    /// `docs/OPERATIONS.md` for the alert.
-    pub overlap_rollbacks: Counter,
-    /// Milliseconds of speculative work overlapped with primary tails.
-    pub overlap_ms: Counter,
-    /// Sub-candidate joint work units merged (`joint_unit` wire mode).
-    pub joint_units: Counter,
     /// New incumbents whose rebuilt score disagreed with the wire score.
     pub incumbent_mismatches: Counter,
 }
@@ -667,10 +647,6 @@ impl Metrics {
                 pareto_rejections: Counter::new(),
                 pareto_front_size: Gauge::new(),
                 pareto_hypervolume_bits: Gauge::new(),
-                overlap_asks: Counter::new(),
-                overlap_rollbacks: Counter::new(),
-                overlap_ms: Counter::new(),
-                joint_units: Counter::new(),
                 incumbent_mismatches: Counter::new(),
             },
             gateway: GatewayMetrics {
@@ -729,10 +705,6 @@ impl Metrics {
                 pareto_rejections: self.coordinator.pareto_rejections.get(),
                 pareto_front_size: self.coordinator.pareto_front_size.get(),
                 pareto_hypervolume_bits: self.coordinator.pareto_hypervolume_bits.get(),
-                overlap_asks: self.coordinator.overlap_asks.get(),
-                overlap_rollbacks: self.coordinator.overlap_rollbacks.get(),
-                overlap_ms: self.coordinator.overlap_ms.get(),
-                joint_units: self.coordinator.joint_units.get(),
                 incumbent_mismatches: self.coordinator.incumbent_mismatches.get(),
             },
             gateway: GatewaySnapshot {
@@ -1048,10 +1020,7 @@ mod tests {
         registry.coordinator.steals.add(2);
         registry.coordinator.duplicate_replies.inc();
         registry.coordinator.worker_share.get("w:1").set(750);
-        registry.coordinator.overlap_asks.add(5);
-        registry.coordinator.overlap_rollbacks.add(2);
-        registry.coordinator.overlap_ms.add(340);
-        registry.coordinator.joint_units.add(96);
+        registry.coordinator.incumbent_mismatches.add(2);
         registry.gateway.jobs_submitted.add(4);
         registry.gateway.jobs_running.set(2);
         registry.gateway.tenant_generations.get("acme").set(17);
@@ -1072,10 +1041,7 @@ mod tests {
         assert_eq!(back.coordinator.duplicate_replies, 1);
         assert_eq!(back.coordinator.worker_share_permille.len(), 1);
         assert_eq!(back.coordinator.worker_share_permille[0].value, 750);
-        assert_eq!(back.coordinator.overlap_asks, 5);
-        assert_eq!(back.coordinator.overlap_rollbacks, 2);
-        assert_eq!(back.coordinator.overlap_ms, 340);
-        assert_eq!(back.coordinator.joint_units, 96);
+        assert_eq!(back.coordinator.incumbent_mismatches, 2);
         assert_eq!(back.gateway.jobs_submitted, 4);
         assert_eq!(back.gateway.jobs_running, 2);
         assert_eq!(back.gateway.tenant_generations[0].label, "acme");

@@ -33,5 +33,5 @@ pub mod search;
 pub mod space;
 
 pub use accuracy::AccuracyModel;
-pub use search::{NasConfig, NasOutcome, SubnetSearchDriver};
+pub use search::{NasConfig, NasOutcome};
 pub use space::{ResNet50Space, Subnet};

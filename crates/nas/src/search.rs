@@ -64,212 +64,89 @@ pub struct NasOutcome {
 /// OFA-accuracy gate.
 ///
 /// Returns `None` when no feasible candidate was found within the budget.
-///
-/// This is the scalar wrapper over [`SubnetSearchDriver`]: it drains
-/// each generation's pending subnets in order and feeds the scores
-/// straight back, which is exactly the original single-loop search.
 pub fn search_subnet(
     cfg: &NasConfig,
     accuracy_model: &AccuracyModel,
     mut evaluate: impl FnMut(&Network) -> Option<f64>,
 ) -> Option<NasOutcome> {
-    let mut driver = SubnetSearchDriver::new(cfg, accuracy_model);
-    while !driver.is_done() {
-        let results: Vec<Option<f64>> = driver
-            .pending()
-            .iter()
-            .map(|s| evaluate(&s.to_network()))
-            .collect();
-        driver.absorb(&results);
-    }
-    driver.finish()
-}
+    let space = ResNet50Space::paper();
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut evaluations = 0usize;
 
-/// The NAS evolution as an explicit state machine: each generation is
-/// exposed as a batch of accuracy-feasible subnets needing an EDP score
-/// ([`pending`](Self::pending)), and [`absorb`](Self::absorb) folds the
-/// scores back and breeds the next generation. [`search_subnet`] is the
-/// scalar wrapper (evaluate pending in order, absorb, repeat) and the
-/// two are bit-identical by construction: the driver consumes the RNG in
-/// exactly the order of the original loop, and accuracy screening is a
-/// pure predicate, so *when* it runs relative to evaluation is
-/// invisible.
-///
-/// The point of the split is sub-candidate sharding: a distributed
-/// coordinator can interleave the pending batches of *many* drivers
-/// (one per accelerator candidate) into one work-unit pool, score units
-/// anywhere, and feed each driver its own results — which is how joint
-/// mode saturates a fleet wider than its population
-/// (`naas::distributed`, `joint_unit` wire mode).
-#[derive(Debug, Clone)]
-pub struct SubnetSearchDriver<'a> {
-    cfg: NasConfig,
-    accuracy_model: &'a AccuracyModel,
-    space: ResNet50Space,
-    rng: SmallRng,
-    generation: usize,
-    evaluations: usize,
-    best: Option<NasOutcome>,
-    /// Accuracy-feasible members of the current population, in
-    /// population order — the subnets whose EDP the caller owes us.
-    pending: Vec<Subnet>,
-    done: bool,
-}
-
-impl<'a> SubnetSearchDriver<'a> {
-    /// Seeds the initial population (consuming the RNG exactly as
-    /// [`search_subnet`] always has) and screens generation 0.
-    pub fn new(cfg: &NasConfig, accuracy_model: &'a AccuracyModel) -> Self {
-        let space = ResNet50Space::paper();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-        // Seed generation: accuracy-feasible random subnets (plus the
-        // baseline, which is always feasible at the default floor).
-        let mut population: Vec<Subnet> = vec![Subnet::resnet50_baseline()];
-        let mut attempts = 0;
-        while population.len() < cfg.population && attempts < cfg.population * 50 {
-            attempts += 1;
-            let s = space.sample(&mut rng);
-            if accuracy_model.predict(&s) >= cfg.accuracy_floor {
-                population.push(s);
-            }
-        }
-
-        let mut driver = SubnetSearchDriver {
-            cfg: *cfg,
-            accuracy_model,
-            space,
-            rng,
-            generation: 0,
-            evaluations: 0,
-            best: None,
-            pending: Vec::new(),
-            done: cfg.generations == 0,
-        };
-        if !driver.done {
-            driver.pending = driver.screen(&population);
-        }
-        driver
-    }
-
-    /// Accuracy screening is a pure predicate (no RNG), so hoisting it
-    /// out of the scoring loop cannot change the trajectory.
-    fn screen(&self, population: &[Subnet]) -> Vec<Subnet> {
-        population
-            .iter()
-            .filter(|s| self.accuracy_model.predict(s) >= self.cfg.accuracy_floor)
-            .copied()
-            .collect()
-    }
-
-    /// The current generation's subnets awaiting an EDP score, in
-    /// population order. Empty either when the search is done or when
-    /// the whole population failed the accuracy screen (absorb an empty
-    /// result batch to trigger the re-seed path).
-    pub fn pending(&self) -> &[Subnet] {
-        if self.done {
-            &[]
-        } else {
-            &self.pending
+    // Seed generation: accuracy-feasible random subnets (plus the
+    // baseline, which is always feasible at the default floor).
+    let mut population: Vec<Subnet> = vec![Subnet::resnet50_baseline()];
+    let mut attempts = 0;
+    while population.len() < cfg.population && attempts < cfg.population * 50 {
+        attempts += 1;
+        let s = space.sample(&mut rng);
+        if accuracy_model.predict(&s) >= cfg.accuracy_floor {
+            population.push(s);
         }
     }
 
-    /// `true` once every configured generation has been absorbed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Folds one EDP result per [`pending`](Self::pending) subnet (same
-    /// order; `None` = infeasible evaluation) into the search: updates
-    /// the incumbent, breeds the next generation — or re-seeds when the
-    /// generation produced no feasible score — and advances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a finished driver or with a result count
-    /// that does not match `pending().len()`.
-    pub fn absorb(&mut self, results: &[Option<f64>]) {
-        assert!(!self.done, "absorb on a finished driver");
-        assert_eq!(
-            results.len(),
-            self.pending.len(),
-            "one result per pending subnet"
-        );
-        let cfg = self.cfg;
-
+    let mut best: Option<NasOutcome> = None;
+    for _gen in 0..cfg.generations {
         // Score the generation.
-        let mut scored: Vec<(Subnet, f64)> = Vec::with_capacity(self.pending.len());
-        for (s, result) in std::mem::take(&mut self.pending).iter().zip(results) {
-            if let Some(edp) = *result {
-                self.evaluations += 1;
+        let mut scored: Vec<(Subnet, f64)> = Vec::with_capacity(population.len());
+        for s in &population {
+            let acc = accuracy_model.predict(s);
+            if acc < cfg.accuracy_floor {
+                continue;
+            }
+            if let Some(edp) = evaluate(&s.to_network()) {
+                evaluations += 1;
                 scored.push((*s, edp));
-                let better = self.best.as_ref().is_none_or(|b| edp < b.reward);
+                let better = best.as_ref().is_none_or(|b| edp < b.reward);
                 if better {
-                    self.best = Some(NasOutcome {
+                    best = Some(NasOutcome {
                         subnet: *s,
                         reward: edp,
-                        accuracy: self.accuracy_model.predict(s),
-                        evaluations: self.evaluations,
+                        accuracy: acc,
+                        evaluations,
                     });
                 }
             }
         }
-
-        let population: Vec<Subnet> = if scored.is_empty() {
+        if scored.is_empty() {
             // Re-seed and retry.
-            (0..cfg.population)
-                .map(|_| self.space.sample(&mut self.rng))
-                .collect()
-        } else {
-            scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            let parents: Vec<Subnet> = scored
-                .iter()
-                .take(((scored.len() as f64 * cfg.parent_fraction).ceil() as usize).max(1))
-                .map(|(s, _)| *s)
+            population = (0..cfg.population)
+                .map(|_| space.sample(&mut rng))
                 .collect();
-
-            // Next generation: parents + mutations + crossovers, all
-            // accuracy-screened.
-            let mut next: Vec<Subnet> = parents.clone();
-            let mut guard = 0;
-            while next.len() < cfg.population && guard < cfg.population * 100 {
-                guard += 1;
-                let i = guard % parents.len();
-                let j = (guard / 2) % parents.len();
-                let child = if guard % 2 == 0 {
-                    self.space
-                        .mutate(&parents[i], cfg.mutation_prob, &mut self.rng)
-                } else {
-                    let x = self
-                        .space
-                        .crossover(&parents[i], &parents[j], &mut self.rng);
-                    self.space.mutate(&x, cfg.mutation_prob, &mut self.rng)
-                };
-                if self.accuracy_model.predict(&child) >= cfg.accuracy_floor {
-                    next.push(child);
-                }
-            }
-            next
-        };
-
-        self.generation += 1;
-        if self.generation >= cfg.generations {
-            self.done = true;
-        } else {
-            self.pending = self.screen(&population);
+            continue;
         }
+        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        let parents: Vec<Subnet> = scored
+            .iter()
+            .take(((scored.len() as f64 * cfg.parent_fraction).ceil() as usize).max(1))
+            .map(|(s, _)| *s)
+            .collect();
+
+        // Next generation: parents + mutations + crossovers, all
+        // accuracy-screened.
+        let mut next: Vec<Subnet> = parents.clone();
+        let mut guard = 0;
+        while next.len() < cfg.population && guard < cfg.population * 100 {
+            guard += 1;
+            let i = guard % parents.len();
+            let j = (guard / 2) % parents.len();
+            let child = if guard % 2 == 0 {
+                space.mutate(&parents[i], cfg.mutation_prob, &mut rng)
+            } else {
+                let x = space.crossover(&parents[i], &parents[j], &mut rng);
+                space.mutate(&x, cfg.mutation_prob, &mut rng)
+            };
+            if accuracy_model.predict(&child) >= cfg.accuracy_floor {
+                next.push(child);
+            }
+        }
+        population = next;
     }
 
-    /// Consumes the driver into the search outcome (best subnet with the
-    /// search-wide evaluation count), or `None` when nothing feasible
-    /// was ever scored.
-    pub fn finish(self) -> Option<NasOutcome> {
-        let evaluations = self.evaluations;
-        self.best.map(|mut b| {
-            b.evaluations = evaluations;
-            b
-        })
-    }
+    best.map(|mut b| {
+        b.evaluations = evaluations;
+        b
+    })
 }
 
 #[cfg(test)]

@@ -520,7 +520,7 @@ fn distributed_joint_search_matches_single_process() {
     // The same trajectory with every NAS evolution sharded over two
     // workers (no scenario: the joint workload is the NAS space).
     let addrs = vec![spawn_worker(1).to_string(), spawn_worker(1).to_string()];
-    let mut coordinator = DistributedCoordinator::connect_joint(&addrs).expect("fleet reachable");
+    let mut coordinator = DistributedCoordinator::connect_fleet(&addrs).expect("fleet reachable");
     let engine = CoSearchEngine::new(1);
     let mut state = naas::joint_search_init(&envelope, &cfg);
     while coordinator.step_joint(&engine, &model, &accuracy, &mut state) {}
@@ -556,7 +556,7 @@ fn distributed_joint_search_survives_worker_death() {
         spawn_flaky_worker(2).to_string(),
         spawn_worker(1).to_string(),
     ];
-    let mut coordinator = DistributedCoordinator::connect_joint(&addrs).expect("fleet reachable");
+    let mut coordinator = DistributedCoordinator::connect_fleet(&addrs).expect("fleet reachable");
     let engine = CoSearchEngine::new(1);
     let mut state = naas::joint_search_init(&envelope, &cfg);
     while coordinator.step_joint(&engine, &model, &accuracy, &mut state) {}
@@ -701,6 +701,19 @@ fn worker_handshake_advertises_capabilities_end_to_end() {
     assert!(worker.has_capability("joint"));
     assert!(worker.has_capability("evaluate_shard"));
     assert!(worker.has_capability("metrics"));
+    // The whole list, pinned: protocol 6 removed the sub-candidate
+    // joint mode, so nothing beyond these may be advertised.
+    assert_eq!(
+        worker.capabilities(),
+        [
+            "evaluate_shard",
+            "search_step",
+            "joint",
+            "cache_gossip",
+            "metrics",
+            "objectives"
+        ]
+    );
 
     // A client stating a wrong version is refused with an orderly error
     // (the server side of the mismatch check).
@@ -1189,22 +1202,23 @@ fn v2_worker_is_rejected_as_incompatible() {
     assert_eq!(*received.lock().unwrap(), vec!["hello".to_string()]);
 }
 
-/// The 4→5 bump: a v4 worker still ships `per_network` with every
-/// accelerator-mode result, and a v5 coordinator dialing it must refuse
-/// it as `Incompatible` at connect time — the only line the worker ever
-/// sees is the handshake, never a shard.
-#[test]
-fn v4_worker_is_refused_before_any_shard_is_exchanged() {
+/// Dials a scripted worker of an older `protocol` with a coordinator
+/// and asserts it is refused as `Incompatible` at connect time — the
+/// only line the worker ever sees is the handshake, never a shard.
+fn assert_refused_before_any_shard(protocol: u64) {
     let (scenario, _) = scenario_fixture();
-    let (addr, received) = spawn_old_build_worker(4);
+    let (addr, received) = spawn_old_build_worker(protocol);
     let err = DistributedCoordinator::connect(&[addr], &scenario)
         .err()
-        .expect("a v4 worker must be refused");
+        .expect("an older worker must be refused");
     assert!(
         matches!(err, naas_engine::RemoteError::Incompatible(_)),
         "got {err}"
     );
-    assert!(err.to_string().contains("protocol 4"), "got {err}");
+    assert!(
+        err.to_string().contains(&format!("protocol {protocol}")),
+        "got {err}"
+    );
     assert_eq!(
         *received.lock().unwrap(),
         vec!["hello".to_string()],
@@ -1212,13 +1226,29 @@ fn v4_worker_is_refused_before_any_shard_is_exchanged() {
     );
 }
 
+/// The 4→5 bump: a v4 worker still ships `per_network` with every
+/// accelerator-mode result, so it must be refused before any shard.
+#[test]
+fn v4_worker_is_refused_before_any_shard_is_exchanged() {
+    assert_refused_before_any_shard(4);
+}
+
+/// The 5→6 bump: a v5 worker still advertises the sub-candidate joint
+/// mode and its `metrics` snapshots carry the overlap counters, so it
+/// must be refused before any shard.
+#[test]
+fn v5_worker_is_refused_before_any_shard_is_exchanged() {
+    assert_refused_before_any_shard(5);
+}
+
 /// Scheduler-flag validation is a parse-time contract: the exact
-/// refusals the CLI prints for a zero steal deadline and for more
-/// micro-shards than candidates are pinned here, so `naas_search`
-/// keeps rejecting these before any worker is dialed.
+/// refusals the CLI prints for a zero steal deadline, for more
+/// micro-shards than candidates and for zero micro-shards are pinned
+/// here, so `naas_search` keeps rejecting these before any worker is
+/// dialed.
 #[test]
 fn scheduler_flag_validation_rejects_degenerate_plans() {
-    let err = naas::validate_scheduler_flags(6, 0, 10)
+    let err = naas::validate_scheduler_flags(Some(6), 0, 10)
         .expect_err("a zero steal deadline must be refused");
     assert!(
         err.contains("--steal-deadline must be at least 1 ms"),
@@ -1229,7 +1259,7 @@ fn scheduler_flag_validation_rejects_degenerate_plans() {
         "the refusal must say why: got {err}"
     );
 
-    let err = naas::validate_scheduler_flags(11, 500, 10)
+    let err = naas::validate_scheduler_flags(Some(11), 500, 10)
         .expect_err("more micro-shards than candidates must be refused");
     assert!(
         err.contains("--microshards 11 exceeds the population size 10"),
@@ -1237,8 +1267,16 @@ fn scheduler_flag_validation_rejects_degenerate_plans() {
     );
     assert!(err.contains("at most one per candidate"), "got {err}");
 
-    // The boundary cases stay legal: unset shards (0 means "default"),
-    // the minimum deadline, and exactly one shard per candidate.
-    naas::validate_scheduler_flags(0, 1, 1).expect("defaults are valid");
-    naas::validate_scheduler_flags(10, 500, 10).expect("one shard per candidate is valid");
+    // An explicit zero names the retired static plan: refused.
+    let err = naas::validate_scheduler_flags(Some(0), 500, 10)
+        .expect_err("zero micro-shards must be refused");
+    assert!(
+        err.contains("--microshards must be at least 1"),
+        "got {err}"
+    );
+
+    // The boundary cases stay legal: an absent flag (the default), the
+    // minimum deadline, and exactly one shard per candidate.
+    naas::validate_scheduler_flags(None, 1, 1).expect("defaults are valid");
+    naas::validate_scheduler_flags(Some(10), 500, 10).expect("one shard per candidate is valid");
 }

@@ -373,7 +373,9 @@ fn spawn_restartable_worker(fail_after: usize) -> SocketAddr {
 /// and the other is killed mid-run and restarted on the same address.
 /// Both jobs' results must still be byte-identical to their solo runs
 /// on a local (fleet-less) gateway, the restarted worker must be
-/// re-admitted, and the re-issue machinery must have fired.
+/// re-admitted, the re-issue machinery must have fired, and
+/// `job_events` cursor paging must reassemble each job's exact event
+/// stream across the generations the chaos touched.
 #[test]
 fn chaos_fleet_jobs_are_byte_identical_despite_skew_and_worker_restart() {
     let _guard = METRICS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -438,6 +440,45 @@ fn chaos_fleet_jobs_are_byte_identical_despite_skew_and_worker_restart() {
         2,
         "the restarted worker must be re-admitted"
     );
+
+    // Cursor paging across the death and rejoin: for every cursor
+    // position, `since=k` must return exactly the suffix of the
+    // single-shot stream, with a stable `next` and terminal `done`.
+    for id in [id_a, id_b] {
+        let full = result_of(&gw.respond(&format!(
+            r#"{{"id":"ev","cmd":"job_events","job_id":{id}}}"#
+        )));
+        let all = full
+            .get("events")
+            .and_then(Value::as_array)
+            .expect("events array")
+            .to_vec();
+        assert!(!all.is_empty(), "a finished job has events: {full:?}");
+        for k in 0..=all.len() {
+            let page = result_of(&gw.respond(&format!(
+                r#"{{"id":"ev","cmd":"job_events","job_id":{id},"since":{k}}}"#
+            )));
+            let events = page
+                .get("events")
+                .and_then(Value::as_array)
+                .expect("events array");
+            assert_eq!(
+                events,
+                &all[k..],
+                "page at cursor {k} must be the exact suffix"
+            );
+            assert_eq!(
+                page.get("next"),
+                Some(&Value::U64(all.len() as u64)),
+                "the cursor always advances to the stream head"
+            );
+            assert_eq!(
+                page.get("done"),
+                Some(&Value::Bool(true)),
+                "a finished job's pages are terminal"
+            );
+        }
+    }
 }
 
 /// The gateway behind the generic server plumbing: a
@@ -514,122 +555,4 @@ fn gateway_serves_jobs_over_tcp_through_the_shared_server_plumbing() {
     // Base command fall-through on the same connection.
     let stats = client.call("cache_stats", Vec::new()).expect("cache_stats");
     assert!(stats.get("hits").is_some());
-}
-
-/// The overlap reactor under multi-tenancy: two tenants' jobs share one
-/// overlapped fleet whose speculation bank holds a single slot, so the
-/// interleaved jobs evict (or strand) each other's speculative forks.
-/// Every result must still be byte-identical to its solo run, the
-/// ask/hit/rollback ledger must balance, and `job_events` cursor paging
-/// must reassemble the exact event stream even though the pages span
-/// generations where the fleet rolled speculation back.
-#[test]
-fn overlapped_tenants_stay_byte_identical_and_events_page_across_rollbacks() {
-    let _guard = METRICS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let job_a = submit_line(
-        1,
-        "acme",
-        1,
-        "accel",
-        &serde_json::to_string(&accel_cfg(173)).unwrap(),
-    );
-    let job_b = submit_line(
-        1,
-        "globex",
-        2,
-        "accel",
-        &serde_json::to_string(&accel_cfg(179)).unwrap(),
-    );
-    let solo_a = solo_result(&job_a);
-    let solo_b = solo_result(&job_b);
-
-    // A skewed fleet (one straggler) gives the reactor idle capacity to
-    // speculate into; the one-slot bank makes the tenants fight over it.
-    let addrs = vec![
-        spawn_slow_worker(1, 20_000).to_string(),
-        spawn_slow_worker(1, 0).to_string(),
-    ];
-    let coordinator = DistributedCoordinator::connect_fleet(&addrs).expect("fleet reachable");
-    let fleet = SharedCoordinator::new(coordinator);
-    fleet.configure(Some(5), Some(std::time::Duration::from_millis(2)));
-    fleet.set_overlap(true);
-    fleet.set_spec_capacity(1);
-    let gw = GatewayService::start(
-        inner_service(2, 0),
-        Some(fleet.clone()),
-        GatewayConfig {
-            executors: 2,
-            ..GatewayConfig::default()
-        },
-    );
-    let id_a = submit(&gw, &job_a);
-    let id_b = submit(&gw, &job_b);
-    gw.wait_idle();
-
-    assert_eq!(
-        result_line(&gw, id_a),
-        solo_a,
-        "overlapped gateway: tenant acme differs from its solo run"
-    );
-    assert_eq!(
-        result_line(&gw, id_b),
-        solo_b,
-        "overlapped gateway: tenant globex differs from its solo run"
-    );
-
-    // The reactor actually speculated, and the ledger balances: every
-    // ask resolved to a banked hit or a rollback. A one-slot bank
-    // shared by two jobs guarantees at least one rollback — an evicted
-    // or end-of-search-stranded fork if the schedule interleaves, a
-    // stale final fork if it happens to serialize.
-    let stats = fleet.overlap_stats();
-    assert!(stats.asks > 0, "overlap must have speculated: {stats:?}");
-    assert!(
-        stats.rollbacks > 0,
-        "a one-slot bank shared by two tenants must roll back: {stats:?}"
-    );
-    assert_eq!(
-        stats.asks,
-        stats.hits + stats.rollbacks,
-        "every ask must resolve to a hit or a rollback: {stats:?}"
-    );
-
-    // Cursor paging across the rollback boundary: for every cursor
-    // position, `since=k` must return exactly the suffix of the
-    // single-shot stream, with a stable `next` and terminal `done`.
-    for id in [id_a, id_b] {
-        let full = result_of(&gw.respond(&format!(
-            r#"{{"id":"ev","cmd":"job_events","job_id":{id}}}"#
-        )));
-        let all = full
-            .get("events")
-            .and_then(Value::as_array)
-            .expect("events array")
-            .to_vec();
-        assert!(!all.is_empty(), "a finished job has events: {full:?}");
-        for k in 0..=all.len() {
-            let page = result_of(&gw.respond(&format!(
-                r#"{{"id":"ev","cmd":"job_events","job_id":{id},"since":{k}}}"#
-            )));
-            let events = page
-                .get("events")
-                .and_then(Value::as_array)
-                .expect("events array");
-            assert_eq!(
-                events,
-                &all[k..],
-                "page at cursor {k} must be the exact suffix"
-            );
-            assert_eq!(
-                page.get("next"),
-                Some(&Value::U64(all.len() as u64)),
-                "the cursor always advances to the stream head"
-            );
-            assert_eq!(
-                page.get("done"),
-                Some(&Value::Bool(true)),
-                "a finished job's pages are terminal"
-            );
-        }
-    }
 }

@@ -139,91 +139,6 @@ proptest! {
         }
     }
 
-    /// Sub-candidate `joint_unit` merging is order-independent: a NAS
-    /// generation's units completing in any adversarial order — merged
-    /// by unit index, exactly once each — and a memoized evaluator that
-    /// scores each distinct subnet once (the coordinator's per-candidate
-    /// dedup) both reproduce the in-order trajectory exactly.
-    #[test]
-    fn joint_unit_merge_is_order_independent(
-        seed in 0u64..1_000,
-        shuffle_seed in 0u64..1_000_000_007,
-    ) {
-        use naas_nas::{AccuracyModel, NasConfig, Subnet, SubnetSearchDriver};
-        let cfg = NasConfig {
-            population: 6,
-            generations: 3,
-            seed,
-            ..NasConfig::default()
-        };
-        let accuracy = AccuracyModel::default();
-        // A pure synthetic unit evaluator (the merge invariant only
-        // needs purity, which real evaluations have by content-derived
-        // seeding); `None` models infeasible units.
-        let unit_score = |s: &Subnet| -> Option<f64> {
-            let depth: usize = s.depths.iter().sum();
-            if (depth + s.width_idx + s.ratio_idx[0]).is_multiple_of(7) {
-                return None;
-            }
-            Some(s.resolution as f64 * (1.0 + s.width_idx as f64) / depth as f64)
-        };
-
-        let mut in_order = SubnetSearchDriver::new(&cfg, &accuracy);
-        let mut shuffled = SubnetSearchDriver::new(&cfg, &accuracy);
-        let mut memoized = SubnetSearchDriver::new(&cfg, &accuracy);
-        let mut memo: Vec<(Subnet, Option<f64>)> = Vec::new();
-        let mut rng = shuffle_seed | 1;
-        while !in_order.is_done() {
-            let pending = in_order.pending().to_vec();
-            prop_assert_eq!(&pending[..], shuffled.pending());
-            prop_assert_eq!(&pending[..], memoized.pending());
-
-            let results: Vec<Option<f64>> = pending.iter().map(unit_score).collect();
-            in_order.absorb(&results);
-
-            // Units complete in an adversarial order; each lands in its
-            // slot exactly once and the merged vector is identical.
-            let mut order: Vec<usize> = (0..pending.len()).collect();
-            for i in (1..order.len()).rev() {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                order.swap(i, (rng % (i as u64 + 1)) as usize);
-            }
-            let mut merged: Vec<Option<Option<f64>>> = vec![None; pending.len()];
-            for idx in order {
-                prop_assert!(merged[idx].is_none(), "a unit must merge exactly once");
-                merged[idx] = Some(unit_score(&pending[idx]));
-            }
-            let out_of_order: Vec<Option<f64>> = merged
-                .into_iter()
-                .map(|r| r.expect("every unit merged"))
-                .collect();
-            prop_assert_eq!(&results, &out_of_order);
-            shuffled.absorb(&out_of_order);
-
-            // The coordinator's dedup: score each distinct subnet once.
-            let deduped: Vec<Option<f64>> = pending
-                .iter()
-                .map(|s| {
-                    if let Some((_, score)) = memo.iter().find(|(m, _)| m == s) {
-                        *score
-                    } else {
-                        let score = unit_score(s);
-                        memo.push((*s, score));
-                        score
-                    }
-                })
-                .collect();
-            prop_assert_eq!(&results, &deduped);
-            memoized.absorb(&deduped);
-        }
-        prop_assert!(shuffled.is_done() && memoized.is_done());
-        let reference = in_order.finish();
-        prop_assert_eq!(&reference, &shuffled.finish());
-        prop_assert_eq!(&reference, &memoized.finish());
-    }
-
     /// The accuracy surrogate is bounded and monotone in resolution for
     /// any genotype.
     #[test]
@@ -248,11 +163,11 @@ proptest! {
     }
 }
 
-/// Reactor seam invariants: the sample/commit decomposition the overlap
-/// coordinator speculates through must be exactly-once, refuse stale or
-/// mismatched commits, and replay deterministically — the properties
-/// that make a banked speculation safe to commit and a rolled-back one
-/// impossible to merge twice. Engine-backed, so fewer cases.
+/// Sample/commit seam invariants: the decomposition the fleet
+/// coordinator steps through must be exactly-once, refuse stale or
+/// mismatched commits, and replay deterministically — a cloned state
+/// fed equal commits samples the same next generation. Engine-backed,
+/// so fewer cases.
 mod reactor_seam {
     use super::*;
     use naas::{
@@ -318,7 +233,7 @@ mod reactor_seam {
         /// before the state advanced, a second commit of an
         /// already-committed generation, and a result vector of the
         /// wrong arity are all refused loudly — the seam cannot be
-        /// tricked into merging a speculation twice or early.
+        /// tricked into merging a generation twice or early.
         #[test]
         fn stale_double_or_mismatched_commits_are_refused(seed in 0u64..1_000) {
             let (constraint, networks) = fixture();
@@ -327,7 +242,7 @@ mod reactor_seam {
             let mut state = accel_search_init(&constraint, &cfg, &[]);
 
             // A fork's sample of generation 0 (determinism makes it
-            // equal to the real one — that is the bank-hit criterion).
+            // equal to the real one).
             let mut fork = state.clone();
             let stale = accel_sample_generation(&mut fork).expect("fresh search samples");
 
@@ -346,8 +261,7 @@ mod reactor_seam {
             // The real commit — infeasible everywhere is a legal result.
             accel_commit_generation(&mut state, sampled, vec![None; n]);
 
-            // Committing the stale generation again (the
-            // rolled-back-speculation-merged-twice shape): refused.
+            // Committing the stale generation again: refused.
             let mut advanced = state.clone();
             let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 accel_commit_generation(&mut advanced, stale, vec![None; n]);
@@ -355,10 +269,9 @@ mod reactor_seam {
             prop_assert!(double.is_err(), "a stale generation must not commit twice");
         }
 
-        /// The bank-hit criterion is sound: two states fed identical
-        /// commits stay equal and draw identical next samples — so a
-        /// speculation whose forked sample matches the real one has, by
-        /// construction, evaluated exactly the real generation.
+        /// Replay is deterministic: two states fed identical commits
+        /// stay equal and draw identical next samples, so a sampled
+        /// generation is a pure function of the committed history.
         #[test]
         fn equal_commits_replay_to_equal_forks(seed in 0u64..1_000) {
             let (constraint, networks) = fixture();
