@@ -37,7 +37,8 @@
 //!
 //! A flag the subcommand does not read is a usage error naming it
 //! (exit status 2), so a mistyped or retired flag never silently falls
-//! back to a default.
+//! back to a default; so is a flag given twice, which would otherwise
+//! silently keep one of its values.
 //!
 //! `run` executes an accelerator search for a registered scenario (or one
 //! loaded from a JSON file), optionally checkpointing every K generations;
@@ -56,13 +57,13 @@
 //! `worker` is the TCP-only face of `serve`, meant to stand behind a
 //! distributed run: `run --workers host:port,...` shards each
 //! generation's population over the listed workers (`evaluate_shard`
-//! requests), merges replies in candidate order, relays mapping-cache
-//! deltas between workers, re-issues the shard of any worker that dies
-//! mid-generation, and produces **bit-identical** results (best design +
-//! history) to the same run without `--workers`. The shard plan is
-//! recorded in checkpoints, so `resume` re-dials the same fleet by
-//! default (`--workers` overrides; `--workers local` forces
-//! single-process).
+//! requests), merges replies in candidate order, absorbs the
+//! mapping-cache deltas the replies carry into its own cache, re-issues
+//! the shard of any worker that dies mid-generation, and produces
+//! **bit-identical** results (best design + history) to the same run
+//! without `--workers`. The shard plan is recorded in checkpoints, so
+//! `resume` re-dials the same fleet by default (`--workers` overrides;
+//! `--workers local` forces single-process).
 //!
 //! `--microshards N` tunes how many micro-shards each live worker's
 //! queue is cut into per generation (default 6). `--steal-deadline MS`
@@ -295,6 +296,20 @@ fn main() {
             Level::Error,
             "unknown_flag",
             &format!("naas-search {cmd}: unknown flag `--{key}`"),
+            &[("flag", Value::Str(format!("--{key}")))],
+        );
+        usage();
+    }
+    if let Some((_, (key, _))) = args
+        .options
+        .iter()
+        .enumerate()
+        .find(|(i, (key, _))| args.options[..*i].iter().any(|(k, _)| k == key))
+    {
+        telemetry::events().emit(
+            Level::Error,
+            "repeated_flag",
+            &format!("naas-search {cmd}: flag `--{key}` given more than once"),
             &[("flag", Value::Str(format!("--{key}")))],
         );
         usage();

@@ -72,10 +72,9 @@
 //! first re-dial one generation after death, then with exponential
 //! backoff capped at [`REJOIN_BACKOFF_CAP`] generations. A worker that
 //! answers (and passes the handshake again) is re-admitted into the
-//! shard plan for that generation, and its first shard request carries
-//! a **full cache snapshot** instead of an incremental delta — a
-//! restarted worker lost its memo state, and replaying the backlog
-//! makes it warm again immediately. A worker that fails the handshake
+//! shard plan for that generation with whatever its cache holds — a
+//! restarted worker starts cold and fills its cache from the shards it
+//! is sent, like any fresh worker. A worker that fails the handshake
 //! on rejoin (it was restarted with a different build) is banned for
 //! the rest of the run. The shard *plan* (the worker address list) is
 //! recorded in checkpoints, so a resumed run re-dials the full fleet.
@@ -84,21 +83,16 @@
 //!
 //! Shard replies piggyback a `cache_delta`: the mapping results the
 //! worker computed since its last report. The coordinator absorbs every
-//! delta into its own engine cache (so local fallback, `--cache-file`
+//! delta into its own engine cache, so local fallback, `--cache-file`
 //! persistence and the rebuild of each new incumbent's per-network
-//! reports — which replies no longer carry — see fleet-wide results)
-//! and relays it to the other workers on their next shard request — a
-//! `(design, layer-shape)` pair solved anywhere is solved everywhere,
-//! without workers knowing about each other. Relaying is sound for the
-//! same reason sharing the in-process cache is: entries are pure
-//! functions of their keys.
-//!
-//! For week-long fleets the relay bookkeeping is bounded: the delta log
-//! is compacted at every generation boundary (the prefix every live
-//! worker has already received is dropped), and the deduplication set is
-//! cleared past [`SEEN_CAP`] keys (duplicated gossip is absorbed
-//! idempotently, so clearing costs bytes on the wire, never
-//! correctness). Bound the caches themselves with `--cache-cap`
+//! reports — which replies no longer carry — see fleet-wide results.
+//! Nothing flows back to the workers. Every cache entry is keyed by the
+//! fingerprint of the design it was searched for, so a worker's results
+//! only answer lookups for designs that worker is sent. A design
+//! evaluated again on a different worker — sampled twice, or in an
+//! identical search re-run on a warm fleet — is searched again there,
+//! with the identical result because inner seeds derive from content.
+//! Bound the caches with `--cache-cap`
 //! ([`naas_engine::MemoCache::set_entry_cap`]).
 //!
 //! # Examples
@@ -130,7 +124,7 @@ use naas_accel::Accelerator;
 use naas_cost::{CostModel, ObjectiveVector};
 use naas_engine::remote::{RemoteError, RemoteWorker};
 use naas_engine::telemetry::{self, Level};
-use naas_engine::{CacheSnapshot, LayerKey, Scenario};
+use naas_engine::{CacheSnapshot, Scenario};
 use naas_ir::Network;
 use naas_nas::AccuracyModel;
 use serde::{Deserialize, Serialize, Value};
@@ -139,11 +133,6 @@ use std::ops::Range;
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-/// The delta-log source marker for entries the coordinator computed
-/// itself (local fallback); never matches a worker index, so such
-/// entries are relayed to every worker.
-const SELF_SOURCE: usize = usize::MAX;
-
 /// Upper bound, in generations, on the re-dial backoff of a dead worker:
 /// the first re-dial happens one generation after death, then the gap
 /// doubles per failed attempt until it saturates here. A probe against a
@@ -151,12 +140,6 @@ const SELF_SOURCE: usize = usize::MAX;
 /// drops SYNs silently, at most [`CONNECT_TIMEOUT`] — cheap enough to
 /// keep probing a week-long run indefinitely.
 pub const REJOIN_BACKOFF_CAP: usize = 8;
-
-/// Upper bound on the gossip deduplication set; past it the set is
-/// cleared (workers absorb re-relayed entries idempotently, so the cost
-/// is wire bytes, not correctness). Bounds coordinator memory on runs
-/// whose distinct-key universe never stops growing.
-pub const SEEN_CAP: usize = 1 << 20;
 
 /// The capability string a worker must advertise before joint-search
 /// shards are routed to it.
@@ -293,9 +276,9 @@ type Delta = CacheSnapshot<Option<MappingSearchResult>>;
 /// The parameter list of one `evaluate_shard` request.
 type ShardParams = Vec<(String, Value)>;
 
-/// Builds the mode-specific request parameters for one candidate range
-/// (the coordinator appends the cache delta itself). `Sync` because the
-/// scheduler's worker threads build their own requests.
+/// Builds the mode-specific request parameters for one candidate range.
+/// `Sync` because the scheduler's worker threads build their own
+/// requests.
 type BuildShard<'a> = dyn Fn(Range<usize>) -> ShardParams + Sync + 'a;
 
 /// Decodes one shard reply into per-candidate results plus the
@@ -308,12 +291,6 @@ type LocalFallback<'a, T> = dyn FnMut(Range<usize>) -> Vec<T> + 'a;
 struct WorkerSlot {
     remote: RemoteWorker,
     alive: bool,
-    /// Prefix of `delta_log` already shipped to this worker.
-    synced: usize,
-    /// Set on rejoin: the next shard request carries a full cache
-    /// snapshot (the restarted worker lost its memo state) instead of
-    /// an incremental delta.
-    full_resync: bool,
     /// Failed re-dials since this worker died (drives the backoff).
     rejoin_attempts: u32,
     /// Generation index at which the next re-dial is due.
@@ -345,14 +322,6 @@ pub struct DistributedCoordinator {
     /// The generation index of the step in progress (drives rejoin
     /// scheduling and backoff arithmetic).
     generation: usize,
-    /// Every cache key learned so far (worker deltas + local fallback),
-    /// with the worker index it came from. Values are *not* duplicated
-    /// here — they live in the coordinator's engine cache, and relay
-    /// snapshots fetch them by key when a shard request is built.
-    /// Compacted every generation down to the suffix some live worker
-    /// still needs.
-    delta_log: Vec<(usize, u64, LayerKey)>,
-    seen: HashSet<(u64, LayerKey)>,
     /// Busiest worker of the generation in progress (address, busy
     /// micros) — telemetry only, surfaced in the progress event.
     last_slowest: Option<(String, u64)>,
@@ -424,8 +393,6 @@ impl DistributedCoordinator {
             workers.push(WorkerSlot {
                 remote,
                 alive: true,
-                synced: 0,
-                full_resync: false,
                 rejoin_attempts: 0,
                 next_retry: 0,
                 banned: false,
@@ -437,8 +404,6 @@ impl DistributedCoordinator {
             workers,
             scenario_value,
             generation: 0,
-            delta_log: Vec::new(),
-            seen: HashSet::new(),
             last_slowest: None,
             microshards: DEFAULT_MICROSHARDS,
             steal_deadline: DEFAULT_STEAL_DEADLINE,
@@ -605,7 +570,6 @@ impl DistributedCoordinator {
             rebuilt
         });
         state.cache_stats = engine.cache_stats();
-        self.compact_delta_log();
         if let Some(archive) = state.archive() {
             self.publish_pareto_telemetry(archive);
         }
@@ -691,7 +655,6 @@ impl DistributedCoordinator {
             )
         });
         if advanced {
-            self.compact_delta_log();
             if let Some(archive) = state.archive() {
                 self.publish_pareto_telemetry(archive);
             }
@@ -843,17 +806,12 @@ impl DistributedCoordinator {
             Ok(probe) => {
                 slot.remote = probe;
                 slot.alive = true;
-                slot.full_resync = true;
-                slot.synced = self.delta_log.len();
                 slot.rejoin_attempts = 0;
                 telemetry::metrics().coordinator.rejoins.inc();
                 telemetry::events().emit(
                     Level::Info,
                     "worker_rejoined",
-                    &format!(
-                        "worker {addr} rejoined the fleet at generation {generation}; \
-                         warming it with a full cache snapshot"
-                    ),
+                    &format!("worker {addr} rejoined the fleet at generation {generation}"),
                     &[
                         ("worker", Value::Str(addr.clone())),
                         ("generation", Value::U64(generation as u64)),
@@ -947,13 +905,7 @@ impl DistributedCoordinator {
                     ("candidates", Value::U64(range.len() as u64)),
                 ],
             );
-            engine.cache().enable_journal();
             let results = fallback(range.clone());
-            let delta = engine.cache().take_new_entries();
-            self.log_keys(
-                SELF_SOURCE,
-                delta.entries.iter().map(|(fp, key, _)| (*fp, *key)),
-            );
             for (slot, result) in range.zip(results) {
                 merged[slot] = Some(result);
             }
@@ -966,9 +918,10 @@ impl DistributedCoordinator {
 
     /// Runs one generation's micro-shard scheduler over the `live`
     /// workers: plans per-worker queues by throughput, spawns one
-    /// pipelining thread per worker against the shared scheduler state,
-    /// then applies the post-mortem — merges, cache deltas, EWMA
-    /// updates, deaths/rejections, telemetry — back onto `self`.
+    /// pipelining thread per worker against the shared scheduler state
+    /// (each merges its replies and absorbs their cache deltas into
+    /// `engine`'s cache), then applies the post-mortem — EWMA updates,
+    /// deaths/rejections, telemetry — back onto `self`.
     /// Un-finished ranges are appended to `leftovers` for the caller's
     /// local fallback.
     #[allow(clippy::too_many_arguments)]
@@ -1005,26 +958,9 @@ impl DistributedCoordinator {
             base_chunk,
             stats: SchedulerStats::default(),
         });
-        let merge = Mutex::new(MergeState {
-            merged: std::mem::take(merged),
-            deltas: Vec::new(),
-        });
-
-        // Pre-compute each worker's piggybacked cache delta (and a
-        // rollback snapshot of its sync point, for workers that end up
-        // never receiving a single request).
-        let prev_sync: Vec<(usize, bool)> = self
-            .workers
-            .iter()
-            .map(|s| (s.synced, s.full_resync))
-            .collect();
-        let mut setups: Vec<Option<(Option<Value>, bool)>> =
-            (0..worker_count).map(|_| None).collect();
-        for &w in live {
-            let cache = self.take_cache_param(engine, w);
-            setups[w] = Some((cache, self.rates[w].is_some()));
-        }
+        let merge = Mutex::new(std::mem::take(merged));
         let deadline = self.steal_deadline;
+        let rates = &self.rates;
 
         let mut ends: Vec<WorkerEnd> = Vec::new();
         std::thread::scope(|scope| {
@@ -1032,13 +968,14 @@ impl DistributedCoordinator {
             let merge = &merge;
             let mut handles = Vec::new();
             for (widx, slot) in self.workers.iter_mut().enumerate() {
-                let Some((cache, rate_known)) = setups[widx].take() else {
+                if !live.contains(&widx) {
                     continue;
-                };
+                }
+                let rate_known = rates[widx].is_some();
                 let remote = &mut slot.remote;
                 handles.push(scope.spawn(move || {
                     worker_loop(
-                        remote, widx, cache, rate_known, deadline, sched, merge, build, parse,
+                        remote, widx, rate_known, deadline, sched, merge, engine, build, parse,
                     )
                 }));
             }
@@ -1048,20 +985,11 @@ impl DistributedCoordinator {
         });
 
         let mut sched = sched.into_inner().unwrap_or_else(|p| p.into_inner());
-        let merge = merge.into_inner().unwrap_or_else(|p| p.into_inner());
-        *merged = merge.merged;
-        // Deltas in flight order: deterministic relay-log order no
-        // matter which thread's reply landed first.
-        let mut deltas = merge.deltas;
-        deltas.sort_by_key(|(fid, ..)| *fid);
-        for (_, widx, delta) in deltas {
-            self.record_delta(engine, widx, delta);
-        }
+        *merged = merge.into_inner().unwrap_or_else(|p| p.into_inner());
 
-        // Per-worker post-mortem: busy-share gauges, EWMA feed, sync
-        // rollback for workers that never got a request, deaths and
-        // rejections (with the same operator-facing events the blocking
-        // dispatcher emitted).
+        // Per-worker post-mortem: busy-share gauges, EWMA feed, deaths
+        // and rejections (with the same operator-facing events the
+        // blocking dispatcher emitted).
         let generation = self.generation;
         let coordinator = &telemetry::metrics().coordinator;
         let mut slowest: Option<(String, u64)> = None;
@@ -1082,11 +1010,6 @@ impl DistributedCoordinator {
                     Some(rate) => 0.4 * rate + 0.6 * measured,
                     None => measured,
                 });
-            }
-            if !end.sent_any {
-                let (synced, full_resync) = prev_sync[end.widx];
-                self.workers[end.widx].synced = synced;
-                self.workers[end.widx].full_resync = full_resync;
             }
             let worker_fields = |error: String| {
                 [
@@ -1175,94 +1098,6 @@ impl DistributedCoordinator {
         let slot = &self.workers[widx];
         slot.alive && capability.is_none_or(|c| slot.remote.has_capability(c))
     }
-
-    /// Builds the `cache` parameter value for `widx`'s first shard
-    /// request of the generation and advances its sync point: an
-    /// incremental delta of every logged entry this worker has not seen
-    /// and did not itself report — or, right after a rejoin, a full
-    /// snapshot of the coordinator's engine cache (the restarted worker
-    /// lost everything; this is the backlog replay that makes it warm
-    /// again). Values are fetched from the engine cache at build time,
-    /// so evicted entries simply drop out of the relay. Returns `None`
-    /// when the worker is already up to date.
-    fn take_cache_param(&mut self, engine: &CoSearchEngine, widx: usize) -> Option<Value> {
-        let full_resync = std::mem::take(&mut self.workers[widx].full_resync);
-        let synced = self.workers[widx].synced;
-        let snapshot = if full_resync {
-            engine.cache().snapshot()
-        } else {
-            let entries: Vec<(u64, LayerKey, Option<MappingSearchResult>)> = self.delta_log
-                [synced..]
-                .iter()
-                .filter(|(source, ..)| *source != widx)
-                .filter_map(|(_, fp, key)| engine.cache().peek(*fp, key).map(|v| (*fp, *key, v)))
-                .collect();
-            CacheSnapshot { entries }
-        };
-        self.workers[widx].synced = self.delta_log.len();
-        if snapshot.entries.is_empty() {
-            return None;
-        }
-        telemetry::metrics()
-            .coordinator
-            .deltas_gossiped
-            .add(snapshot.entries.len() as u64);
-        Some(serde_json::to_value(&snapshot))
-    }
-
-    /// Folds a worker's reply delta into the coordinator: absorb the
-    /// values into the local engine cache and append the keys to the
-    /// relay log.
-    fn record_delta(&mut self, engine: &CoSearchEngine, source: usize, delta: Delta) {
-        if delta.entries.is_empty() {
-            return;
-        }
-        let keys: Vec<(u64, LayerKey)> = delta
-            .entries
-            .iter()
-            .map(|(fp, key, _)| (*fp, *key))
-            .collect();
-        engine.cache().absorb(delta);
-        self.log_keys(source, keys);
-    }
-
-    fn log_keys(&mut self, source: usize, keys: impl IntoIterator<Item = (u64, LayerKey)>) {
-        for (fp, key) in keys {
-            if self.seen.insert((fp, key)) {
-                self.delta_log.push((source, fp, key));
-            }
-        }
-    }
-
-    /// Drops the delta-log prefix every live worker has already
-    /// received (dead workers are resynced with a full snapshot on
-    /// rejoin, so the log owes them nothing), and clears the dedup set
-    /// past [`SEEN_CAP`]. Called at every generation boundary — this is
-    /// what keeps a week-long coordinator's relay bookkeeping flat.
-    fn compact_delta_log(&mut self) {
-        let min_synced = self
-            .workers
-            .iter()
-            .filter(|w| w.alive)
-            .map(|w| w.synced)
-            .min()
-            .unwrap_or(self.delta_log.len());
-        if min_synced > 0 {
-            self.delta_log.drain(..min_synced);
-            for slot in &mut self.workers {
-                slot.synced = slot.synced.saturating_sub(min_synced);
-            }
-        }
-        if self.seen.len() > SEEN_CAP {
-            self.seen.clear();
-        }
-    }
-
-    /// Test-only visibility into the relay bookkeeping.
-    #[cfg(test)]
-    fn delta_log_len(&self) -> usize {
-        self.delta_log.len()
-    }
 }
 
 /// A fleet handle sharable across concurrent jobs: the gateway's view
@@ -1270,8 +1105,10 @@ impl DistributedCoordinator {
 /// coordinator behind a mutex, and every step method takes `&self` —
 /// concurrent jobs serialize on the fleet one generation at a time
 /// (generations are the natural quantum: each is a self-contained
-/// fan-out), while the memo-cache gossip they generate is shared, so
-/// tenants exploring the same design space warm each other's caches.
+/// fan-out). The jobs share every memo cache on the way: a design one
+/// job already evaluated on a worker, under the same mapping budget, is
+/// a cache hit when another job's shard brings it to that worker again,
+/// and the coordinator's cache absorbs every job's reply deltas.
 /// Because every candidate evaluation is a pure function of its
 /// content, interleaving generations of different jobs onto one
 /// coordinator leaves each job's trajectory bit-identical to a solo
@@ -1547,9 +1384,6 @@ struct WorkerEnd {
     /// Orderly rejection messages (the worker stays alive; its ranges
     /// went to the local fallback).
     rejections: Vec<String>,
-    /// Whether at least one request was actually written — if not, the
-    /// pre-computed cache sync advance is rolled back.
-    sent_any: bool,
     /// Candidates this worker completed (first-answer wins only).
     completed: u64,
     /// Wall time with at least one request in flight, microseconds —
@@ -1565,29 +1399,22 @@ fn sched_lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Results and reply deltas accumulated across the worker threads.
-struct MergeState<T> {
-    merged: Vec<Option<T>>,
-    /// `(flight id, source worker, delta)` in completion order;
-    /// sorted by flight id before being applied.
-    deltas: Vec<(usize, usize, Delta)>,
-}
-
 /// One worker's scheduler thread: keeps the RPC pipeline full from the
 /// shared queues (own → pool → steal → speculate past `deadline`),
-/// merges winning replies, drops duplicate late replies by shard id,
-/// and reports how it ended. Never touches the coordinator — deaths,
-/// events and EWMA updates are applied post-scope from the returned
+/// merges winning replies into `merge` and absorbs their cache deltas
+/// into `engine`'s cache, drops duplicate late replies by shard id, and
+/// reports how it ended. Never touches the coordinator — deaths, events
+/// and EWMA updates are applied post-scope from the returned
 /// [`WorkerEnd`].
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<T: Send>(
     remote: &mut RemoteWorker,
     widx: usize,
-    mut cache_param: Option<Value>,
     rate_known: bool,
     deadline: Duration,
     sched: &Mutex<Sched>,
-    merge: &Mutex<MergeState<T>>,
+    merge: &Mutex<Vec<Option<T>>>,
+    engine: &CoSearchEngine,
     build: &BuildShard<'_>,
     parse: &ParseShard<T>,
 ) -> WorkerEnd {
@@ -1595,7 +1422,6 @@ fn worker_loop<T: Send>(
         widx,
         death: None,
         rejections: Vec::new(),
-        sent_any: false,
         completed: 0,
         busy_us: 0,
     };
@@ -1656,9 +1482,13 @@ fn worker_loop<T: Send>(
                                         end.completed += range.len() as u64;
                                         let mut m = sched_lock(merge);
                                         for (slot, result) in range.clone().zip(results) {
-                                            m.merged[slot] = Some(result);
+                                            m[slot] = Some(result);
                                         }
-                                        m.deltas.push((fid, widx, delta));
+                                        drop(m);
+                                        telemetry::metrics()
+                                            .coordinator
+                                            .deltas_gossiped
+                                            .add(engine.cache().absorb(delta) as u64);
                                     }
                                     Err(message) => {
                                         // Un-claim so the range re-routes.
@@ -1712,13 +1542,8 @@ fn worker_loop<T: Send>(
                 }
             };
             let Some((fid, range)) = work else { break };
-            let mut params = build(range);
-            if let Some(cache) = cache_param.take() {
-                params.push(("cache".to_string(), cache));
-            }
-            match remote.send("evaluate_shard", params) {
+            match remote.send("evaluate_shard", build(range)) {
                 Ok(id) => {
-                    end.sent_any = true;
                     progressed = true;
                     if busy_start.is_none() {
                         busy_start = Some(Instant::now());
@@ -2100,74 +1925,6 @@ mod tests {
         objectives.energy_nj = 5.0;
         assert!(validate_wire_eval(f64::NAN, &objectives).is_err());
         assert!(validate_wire_eval(2.5, &objectives).is_ok());
-    }
-
-    fn synthetic_coordinator(worker_count: usize) -> DistributedCoordinator {
-        // Handles are lazy — nothing is dialed, so the relay/compaction
-        // bookkeeping can be exercised without a live fleet.
-        let workers = (0..worker_count)
-            .map(|i| WorkerSlot {
-                remote: RemoteWorker::new(format!("127.0.0.1:{}", 1 + i)),
-                alive: true,
-                synced: 0,
-                full_resync: false,
-                rejoin_attempts: 0,
-                next_retry: 0,
-                banned: false,
-            })
-            .collect();
-        let (probe_tx, probe_rx) = mpsc::channel();
-        DistributedCoordinator {
-            workers,
-            scenario_value: Value::Null,
-            generation: 0,
-            delta_log: Vec::new(),
-            seen: HashSet::new(),
-            last_slowest: None,
-            microshards: DEFAULT_MICROSHARDS,
-            steal_deadline: DEFAULT_STEAL_DEADLINE,
-            rates: vec![None; worker_count],
-            stats_last: SchedulerStats::default(),
-            stats_total: SchedulerStats::default(),
-            probe_tx,
-            probe_rx,
-            probing: vec![false; worker_count],
-            pareto_published: (0, 0),
-        }
-    }
-
-    fn some_key(i: u64) -> LayerKey {
-        LayerKey::of(
-            &naas_ir::ConvSpec::conv2d("k", 8 + i, 8, (8, 8), (3, 3), 1, 1)
-                .expect("valid conv spec"),
-        )
-    }
-
-    #[test]
-    fn delta_log_compacts_to_the_slowest_live_worker() {
-        let mut c = synthetic_coordinator(2);
-        c.log_keys(0, (0..10).map(|i| (i, some_key(i))));
-        assert_eq!(c.delta_log_len(), 10);
-
-        // Worker 0 has received the first 6 entries, worker 1 the first
-        // 4: only the prefix both have seen can go.
-        c.workers[0].synced = 6;
-        c.workers[1].synced = 4;
-        c.compact_delta_log();
-        assert_eq!(c.delta_log_len(), 6);
-        assert_eq!((c.workers[0].synced, c.workers[1].synced), (2, 0));
-
-        // A dead worker owes the log nothing (it is resynced with a
-        // full snapshot on rejoin): compaction follows the live ones.
-        c.workers[1].alive = false;
-        c.workers[0].synced = 6;
-        c.compact_delta_log();
-        assert_eq!(c.delta_log_len(), 0);
-
-        // Re-logging a seen key is deduplicated, so the log only grows
-        // by genuinely new work.
-        c.log_keys(1, [(3, some_key(3)), (99, some_key(99))]);
-        assert_eq!(c.delta_log_len(), 1);
     }
 
     /// Flattens a plan and checks it tiles `0..n` exactly, in order.

@@ -19,16 +19,15 @@
 //! | `search_layer`   | best mapping for one layer on one design            |
 //! | `evaluate_batch` | a population of mappings via `CostModel::evaluate_batch` |
 //! | `evaluate_shard` | a shard of outer-search candidates (the distributed fan-out primitive; accel or joint mode) |
-//! | `search_step`    | one generation of a serialized accel or joint search state |
 //! | `cache_stats`    | the shared cache's counters                         |
 //! | `metrics`        | a full process telemetry snapshot ([`naas_engine::telemetry`]) |
 //! | `shutdown`       | acknowledges, then the server drains and persists   |
 //!
-//! `evaluate_shard` and `search_step` carry optional `cache` payloads in
-//! and `cache_delta` payloads out: incremental [`MemoCache`] snapshots
-//! that let a coordinator relay mapping results between workers, so a
-//! `(design, layer-shape)` pair solved anywhere in the fleet is solved
-//! everywhere. The full wire spec is `docs/PROTOCOL.md`.
+//! `evaluate_shard` replies carry a `cache_delta`: an incremental
+//! [`MemoCache`] snapshot of the mapping results the worker computed
+//! since its last reply, which the coordinator absorbs into its own
+//! cache. It is the one way a worker ships results. The full wire spec
+//! is `docs/PROTOCOL.md`.
 //!
 //! Concurrent in-flight requests are coalesced by the engine's
 //! [`Batcher`] and fanned out over the pool in one `parallel_map` call
@@ -45,9 +44,9 @@
 //!
 //! [`MemoCache`]: naas_engine::MemoCache
 
-use crate::accel_search::{self, AccelSearchState};
+use crate::accel_search;
 use crate::engine::CoSearchEngine;
-use crate::mapping_search::{self, MappingSearchConfig, MappingSearchResult};
+use crate::mapping_search::{self, MappingSearchConfig};
 use crate::reward::RewardKind;
 use naas_accel::Accelerator;
 use naas_cost::{CostModel, LayerCost};
@@ -127,7 +126,6 @@ pub struct ServiceConfig {
 /// `job_*` command family advertise it.
 pub const CAPABILITIES: &[&str] = &[
     "evaluate_shard",
-    "search_step",
     "joint",
     "cache_gossip",
     "metrics",
@@ -369,7 +367,6 @@ impl BatchEvalService {
             "search_layer" => self.search_layer(request),
             "evaluate_batch" => self.evaluate_batch(request),
             "evaluate_shard" => self.evaluate_shard(request),
-            "search_step" => self.search_step(request),
             "cache_stats" => Ok(self.cache_stats()),
             "metrics" => Ok(self.metrics()),
             "shutdown" => Ok(Value::Str("shutting down".to_string())),
@@ -694,24 +691,6 @@ impl BatchEvalService {
         ]))
     }
 
-    /// Absorbs an optional `cache` parameter (an incremental
-    /// [`naas_engine::CacheSnapshot`]) into the shared cache. Absorbing
-    /// is always sound — entries are content-addressed and live entries
-    /// win — so a coordinator can forward deltas from any worker to any
-    /// other.
-    fn absorb_cache_param(&self, request: &Request) -> Result<usize, ServiceError> {
-        match request.param("cache") {
-            None => Ok(0),
-            Some(value) => {
-                let snapshot: naas_engine::CacheSnapshot<Option<MappingSearchResult>> =
-                    serde_json::from_value(value).map_err(|e| {
-                        ServiceError::BadRequest(format!("invalid cache snapshot: {e}"))
-                    })?;
-                Ok(self.engine.cache().absorb(snapshot))
-            }
-        }
-    }
-
     /// `evaluate_shard`: one shard of an outer-search generation — a
     /// list of candidate designs evaluated on this worker's pool. This
     /// is the distributed coordinator's fan-out primitive
@@ -731,8 +710,7 @@ impl BatchEvalService {
     /// the single-process search bit-for-bit. Infeasible candidates
     /// answer `null` (a result, not a request failure). The reply
     /// piggybacks a `cache_delta` of every mapping result this worker
-    /// computed since its last report, for the coordinator to relay to
-    /// its siblings.
+    /// computed since its last report, for the coordinator's own cache.
     fn evaluate_shard(&self, request: &Request) -> Result<Value, ServiceError> {
         let candidates_value = request.param("candidates").ok_or_else(|| {
             ServiceError::BadRequest("`candidates` (array of design objects) is required".into())
@@ -744,7 +722,6 @@ impl BatchEvalService {
                 .map_err(|e| ServiceError::BadRequest(format!("invalid mapping config: {e}")))?,
             None => self.mapping_config(request)?,
         };
-        self.absorb_cache_param(request)?;
         self.engine.cache().enable_journal();
 
         if self.config.eval_delay_us > 0 {
@@ -869,74 +846,6 @@ impl BatchEvalService {
                 Some(out) => serde_json::to_value(out),
             })
             .collect())
-    }
-
-    /// `search_step`: advances a serialized search state by one
-    /// generation on this worker and returns the updated state — a whole
-    /// remote-driven search for thin clients (state out ≡ state the
-    /// equivalent local step call would produce, since the state embeds
-    /// every bit of search trajectory). With `joint: true` the state is
-    /// a [`crate::joint::JointSearchState`] (no scenario needed — the
-    /// NAS supplies the workload; an optional `accuracy` model overrides
-    /// the worker default); otherwise an [`AccelSearchState`] advanced
-    /// against the required scenario's suite. `advanced` is `false` when
-    /// the state's budget was already exhausted.
-    fn search_step(&self, request: &Request) -> Result<Value, ServiceError> {
-        let state_value = request.param("state").ok_or_else(|| {
-            ServiceError::BadRequest("`state` (search-state object) is required".into())
-        })?;
-        let joint = match request.param("joint") {
-            None | Some(Value::Bool(false)) => false,
-            Some(Value::Bool(true)) => true,
-            Some(_) => {
-                return Err(ServiceError::BadRequest(
-                    "`joint` must be a boolean in search_step".into(),
-                ))
-            }
-        };
-        if joint {
-            let mut state: crate::joint::JointSearchState = serde_json::from_value(state_value)
-                .map_err(|e| {
-                    ServiceError::BadRequest(format!("invalid joint search state: {e}"))
-                })?;
-            let accuracy: AccuracyModel = match request.param("accuracy") {
-                None => AccuracyModel::default(),
-                Some(value) => serde_json::from_value(value).map_err(|e| {
-                    ServiceError::BadRequest(format!("invalid accuracy model: {e}"))
-                })?,
-            };
-            self.absorb_cache_param(request)?;
-            self.engine.cache().enable_journal();
-            let advanced =
-                crate::joint::joint_search_step(&self.engine, &self.model, &accuracy, &mut state);
-            return Ok(self.search_step_reply(advanced, state.is_done(), &state));
-        }
-        let job = self.resolve_scenario(request)?;
-        if job.networks.is_empty() {
-            return Err(ServiceError::BadRequest(
-                "scenario has no benchmark networks".into(),
-            ));
-        }
-        let mut state: AccelSearchState = serde_json::from_value(state_value)
-            .map_err(|e| ServiceError::BadRequest(format!("invalid search state: {e}")))?;
-        self.absorb_cache_param(request)?;
-        self.engine.cache().enable_journal();
-        let advanced =
-            accel_search::accel_search_step(&self.engine, &self.model, &job.networks, &mut state);
-        Ok(self.search_step_reply(advanced, state.is_done(), &state))
-    }
-
-    /// The common `search_step` reply shape for both state kinds.
-    fn search_step_reply<S: Serialize>(&self, advanced: bool, done: bool, state: &S) -> Value {
-        Value::Object(vec![
-            ("advanced".to_string(), Value::Bool(advanced)),
-            ("done".to_string(), Value::Bool(done)),
-            ("state".to_string(), serde_json::to_value(state)),
-            (
-                "cache_delta".to_string(),
-                serde_json::to_value(&self.engine.cache().take_new_entries()),
-            ),
-        ])
     }
 }
 
@@ -1137,8 +1046,8 @@ impl<S: WireService> ServiceServer<S> {
     /// Accepts TCP connections on `listener` and serves each on its own
     /// thread ([`ServiceServer::serve_stream`]) until some stream issues
     /// a `shutdown` command. This is the whole of `naas-search worker`:
-    /// a coordinator (or several) connects, fans `evaluate_shard` /
-    /// `search_step` requests in, and requests from every connection
+    /// a coordinator (or several) connects, fans `evaluate_shard`
+    /// requests in, and requests from every connection
     /// coalesce in the shared batcher like any other service traffic.
     ///
     /// Returns `Ok(true)` after a shutdown request (the requesting

@@ -130,9 +130,10 @@ fn assert_refused_before_dialing(args: &[&str], flag: &str) {
 }
 
 /// A flag the subcommand does not read is a usage error naming it —
-/// a typo, and a flag this build retired — and so is an explicit
-/// `--microshards 0`, the retired static plan. Each is refused before
-/// any worker is dialed, on `run` and on `gateway`.
+/// a typo, and a flag this build retired — and so are a flag given
+/// twice and an explicit `--microshards 0`, the retired static plan.
+/// Each is refused before any worker is dialed, on `run` and on
+/// `gateway`.
 #[test]
 fn unknown_retired_and_degenerate_flags_are_refused_before_dialing() {
     let run = ["run", "cifar-eyeriss", "--preset", "smoke"];
@@ -141,6 +142,9 @@ fn unknown_retired_and_degenerate_flags_are_refused_before_dialing() {
     let overlap = format!("--{}", "overlap");
     let retired = [&run[..], &[overlap.as_str(), "on"]].concat();
     assert_refused_before_dialing(&retired, &overlap);
+    // Backticked: the usage text names `--preset` too, bare.
+    let repeated = [&run[..], &["--preset", "paper"]].concat();
+    assert_refused_before_dialing(&repeated, "`--preset`");
     let zero = [&run[..], &["--microshards", "0"]].concat();
     assert_refused_before_dialing(&zero, "--microshards");
     assert_refused_before_dialing(&["gateway", "--microshards", "0"], "--microshards");

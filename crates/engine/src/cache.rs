@@ -279,7 +279,8 @@ impl<V> MemoCache<V> {
 
     /// Starts journaling locally computed entries, so
     /// [`MemoCache::take_new_entries`] can export them as incremental
-    /// deltas (the distributed workers' cache-gossip path). Idempotent;
+    /// deltas (what a distributed worker ships to its coordinator on
+    /// every shard reply). Idempotent;
     /// entries computed before the first call are not journaled. Off by
     /// default — a long single-process search has no consumer for the
     /// journal and should not grow one. Once enabled, the journal stays
@@ -460,9 +461,10 @@ impl<V: Clone> MemoCache<V> {
     /// The drain is atomic but process-global: when two requests drain
     /// concurrently, each journaled entry lands in exactly one of the
     /// two deltas. Every entry still reaches *a* consumer (and stays in
-    /// this cache regardless), so gossip through concurrent coordinators
-    /// degrades to best-effort rather than breaking — a recipient may
-    /// just learn some entries a round later, or recompute them.
+    /// this cache regardless), so a worker serving concurrent
+    /// coordinators ships each of them only part of what it computed for
+    /// them — best-effort, never wrong: a coordinator recomputes a
+    /// missing entry when it needs it.
     pub fn take_new_entries(&self) -> CacheSnapshot<V> {
         let drained: Vec<(u64, LayerKey)> = {
             let mut journal = self.journal.lock().unwrap_or_else(|p| p.into_inner());

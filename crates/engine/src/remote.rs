@@ -449,8 +449,8 @@ impl RemoteWorker {
 }
 
 /// Renders one request line: `id` and `cmd` first, then the caller's
-/// parameters. The parameter trees (a shard's candidates, a relayed
-/// cache delta) are written in place, never copied.
+/// parameters. The parameter trees (a shard's candidates, its mapping
+/// config) are written in place, never copied.
 fn request_line(id: u64, cmd: &str, params: Vec<(String, Value)>) -> String {
     let mut fields = Vec::with_capacity(params.len() + 2);
     fields.push(("id".to_string(), Value::U64(id)));

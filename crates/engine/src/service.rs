@@ -42,7 +42,8 @@ use std::sync::{Condvar, Mutex};
 /// `hello` command (see `docs/PROTOCOL.md` § Versioning). Version 1 is
 /// the pre-handshake protocol (no `hello` command); version 2 added the
 /// handshake, capability lists, and the joint-search extensions of
-/// `evaluate_shard`/`search_step`; version 3 made every `evaluate_shard`
+/// `evaluate_shard` and of the since-removed `search_step` command;
+/// version 3 made every `evaluate_shard`
 /// result carry the candidate's objective vector (`objectives`,
 /// advertised by the `"objectives"` capability) alongside the scalar
 /// reward — an incompatible reply-shape change, hence the bump. Version
@@ -53,16 +54,20 @@ use std::sync::{Condvar, Mutex};
 /// serialized `MetricsSnapshot` rejects a v3 image that lacks the new
 /// required section. Version 5 slimmed accelerator-mode `evaluate_shard`
 /// results to `{reward, objectives}`: the per-network cost reports are
-/// no longer shipped (the coordinator rebuilds them from its gossip-fed
-/// cache for the incumbent alone), and removing a required field is
-/// incompatible. Version 6 removed the sub-candidate joint mode of
-/// `evaluate_shard` and the overlap reactor's four required counters
-/// from the `metrics` coordinator section. A client and server
+/// no longer shipped (the coordinator rebuilds them from the cache
+/// deltas of its workers' replies, for the incumbent alone), and
+/// removing a required field is incompatible. Version 6 removed the
+/// sub-candidate joint mode of `evaluate_shard` and the overlap
+/// reactor's four required counters from the `metrics` coordinator
+/// section. Version 7 removed the `search_step` command and its
+/// capability, and the `cache` parameter through which coordinators
+/// relayed one worker's cache deltas to the others: a worker now ships
+/// results only as `evaluate_shard` replies. A client and server
 /// interoperate only on an exact match — the
 /// distributed driver ships serialized configs and search states whose
 /// layout follows the crate types, so "close enough" versions are
 /// exactly the undefined behaviour the handshake exists to rule out.
-pub const PROTOCOL_VERSION: u64 = 6;
+pub const PROTOCOL_VERSION: u64 = 7;
 
 /// A parsed service request: the echoed `id`, the command name, and the
 /// full request object (commands read their parameters out of it).

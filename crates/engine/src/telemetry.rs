@@ -406,7 +406,8 @@ pub struct CoordinatorSnapshot {
     pub rejoins: u64,
     /// Workers dropped from the live plan (death or version ban).
     pub deaths: u64,
-    /// Cache delta entries gossiped out to workers.
+    /// Cache delta entries of worker replies absorbed into the
+    /// coordinator's cache (entries it already held are not counted).
     pub deltas_gossiped: u64,
     /// Micro-shard requests issued by the dynamic scheduler.
     pub microshards: u64,
@@ -543,7 +544,7 @@ pub struct CoordinatorMetrics {
     pub rejoins: Counter,
     /// Workers dropped from the live plan.
     pub deaths: Counter,
-    /// Cache delta entries gossiped to workers.
+    /// Reply cache-delta entries absorbed into the coordinator's cache.
     pub deltas_gossiped: Counter,
     /// Micro-shard requests issued by the dynamic scheduler.
     pub microshards: Counter,

@@ -312,49 +312,11 @@ fn total_fleet_loss_falls_back_to_local_evaluation() {
     assert_eq!(coordinator.live_workers(), 0);
 }
 
-/// `search_step` over the wire: a thin client can drive a whole search
-/// remotely by round-tripping the serialized state, and the trajectory
-/// matches the in-process one exactly.
-#[test]
-fn remote_search_step_reproduces_local_trajectory() {
-    let (scenario, networks) = scenario_fixture();
-    let cfg = search_cfg(53);
-    let local = run_local(&cfg, &networks);
-
-    let job = scenario.resolve().unwrap();
-    let mut state = accel_search_init(&job.constraint, &cfg, &[]);
-    let mut worker = naas_engine::RemoteWorker::new(spawn_worker(1).to_string());
-    let scenario_value = serde_json::to_value(&scenario);
-    loop {
-        let reply = worker
-            .call(
-                "search_step",
-                vec![
-                    ("scenario".to_string(), scenario_value.clone()),
-                    ("state".to_string(), serde_json::to_value(&state)),
-                ],
-            )
-            .expect("remote step succeeds");
-        let advanced = reply.get("advanced") == Some(&Value::Bool(true));
-        state = serde_json::from_value(reply.get("state").expect("reply carries state"))
-            .expect("state round-trips");
-        if !advanced {
-            panic!("remote step refused before the budget was exhausted");
-        }
-        if reply.get("done") == Some(&Value::Bool(true)) {
-            break;
-        }
-    }
-    let remote = state.into_result().expect("search finds a design");
-    assert_eq!(remote.best.accelerator, local.best.accelerator);
-    assert_eq!(remote.best.reward, local.best.reward);
-    assert_eq!(remote.history, local.history);
-    assert_eq!(remote.evaluations, local.evaluations);
-}
-
 /// Cache gossip: after a sharded run, the coordinator's engine holds the
 /// fleet's mapping results (absorbed deltas), so a follow-up local run
-/// of the same scenario is answered entirely from cache.
+/// of the same scenario is answered entirely from cache — while each
+/// worker holds only what it computed itself, because nothing is
+/// relayed back to the fleet.
 #[test]
 fn coordinator_absorbs_fleet_cache_deltas() {
     let (scenario, networks) = scenario_fixture();
@@ -374,6 +336,18 @@ fn coordinator_absorbs_fleet_cache_deltas() {
         engine.cache_stats().entries > 0,
         "worker deltas must land in the coordinator cache"
     );
+    for addr in &addrs {
+        let stats = naas_engine::RemoteWorker::new(addr.clone())
+            .call("cache_stats", Vec::new())
+            .expect("the worker answers cache_stats");
+        let count = |field: &str| stats.get(field).and_then(Value::as_u64).expect(field);
+        assert!(count("misses") > 0, "worker {addr} computed nothing");
+        assert_eq!(
+            count("entries"),
+            count("misses"),
+            "worker {addr} must hold only the entries it computed"
+        );
+    }
 
     // Re-run the same search locally on the coordinator's engine: every
     // mapping search was already solved somewhere in the fleet.
@@ -568,51 +542,6 @@ fn distributed_joint_search_survives_worker_death() {
     );
 }
 
-/// Joint `search_step` over the wire: a thin client round-trips a
-/// serialized `JointSearchState` with `joint: true` and reproduces the
-/// in-process joint trajectory exactly.
-#[test]
-fn remote_joint_search_step_reproduces_local_trajectory() {
-    let model = CostModel::new();
-    let accuracy = naas_nas::AccuracyModel::default();
-    let envelope = naas_accel::ResourceConstraint::from_design(&naas_accel::baselines::eyeriss());
-    let mut cfg = naas::JointConfig::quick(37);
-    cfg.accel.mapping = MappingSearchConfig::quick(7);
-    cfg.accel.threads = 1;
-
-    let engine = CoSearchEngine::new(1);
-    let mut state = naas::joint_search_init(&envelope, &cfg);
-    while naas::joint_search_step(&engine, &model, &accuracy, &mut state) {}
-    let local = state.into_result().expect("joint search finds a pair");
-
-    let mut state = naas::joint_search_init(&envelope, &cfg);
-    let mut worker = naas_engine::RemoteWorker::new(spawn_worker(1).to_string());
-    loop {
-        let reply = worker
-            .call(
-                "search_step",
-                vec![
-                    ("joint".to_string(), Value::Bool(true)),
-                    ("state".to_string(), serde_json::to_value(&state)),
-                    ("accuracy".to_string(), serde_json::to_value(&accuracy)),
-                ],
-            )
-            .expect("remote joint step succeeds");
-        assert_eq!(
-            reply.get("advanced"),
-            Some(&Value::Bool(true)),
-            "remote step refused before the budget was exhausted"
-        );
-        state = serde_json::from_value(reply.get("state").expect("reply carries state"))
-            .expect("joint state round-trips");
-        if reply.get("done") == Some(&Value::Bool(true)) {
-            break;
-        }
-    }
-    let remote = state.into_result().expect("joint search finds a pair");
-    assert_eq!(remote, local);
-}
-
 /// Permutation fuzzing of the merge path: heterogeneous per-worker
 /// delays plus an aggressive steal deadline drive the scheduler through
 /// adversarial completion orders — steals, re-splits, speculative
@@ -702,12 +631,12 @@ fn worker_handshake_advertises_capabilities_end_to_end() {
     assert!(worker.has_capability("evaluate_shard"));
     assert!(worker.has_capability("metrics"));
     // The whole list, pinned: protocol 6 removed the sub-candidate
-    // joint mode, so nothing beyond these may be advertised.
+    // joint mode and protocol 7 removed `search_step`, so nothing beyond
+    // these may be advertised.
     assert_eq!(
         worker.capabilities(),
         [
             "evaluate_shard",
-            "search_step",
             "joint",
             "cache_gossip",
             "metrics",
@@ -1239,6 +1168,13 @@ fn v4_worker_is_refused_before_any_shard_is_exchanged() {
 #[test]
 fn v5_worker_is_refused_before_any_shard_is_exchanged() {
     assert_refused_before_any_shard(5);
+}
+
+/// The 6→7 bump: a v6 worker still answers `search_step` and absorbs
+/// relayed `cache` parameters, so it must be refused before any shard.
+#[test]
+fn v6_worker_is_refused_before_any_shard_is_exchanged() {
+    assert_refused_before_any_shard(6);
 }
 
 /// Scheduler-flag validation is a parse-time contract: the exact
