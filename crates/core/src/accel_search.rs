@@ -98,7 +98,8 @@ impl AccelSearchConfig {
 
 /// One candidate's complete evaluation — what flows up from the cost
 /// layer before anything is collapsed. The local pool commits it whole;
-/// the `evaluate_shard` wire carries only its [`CandidateScore`].
+/// the `evaluate_shard` wire carries it whole only for a candidate that
+/// could become the incumbent, and its [`CandidateScore`] otherwise.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CandidateEval {
     /// Mapping-searched whole-suite cost per benchmark network, in
@@ -114,6 +115,35 @@ pub struct CandidateEval {
 }
 
 impl CandidateEval {
+    /// Derives the reward and the objective vector from the per-network
+    /// cost reports of `accel` — the tail of [`evaluate_candidate`], and
+    /// what a fleet coordinator runs on the reports a worker ships, so
+    /// both sides score a candidate with one piece of code.
+    ///
+    /// # Panics
+    ///
+    /// Like [`RewardKind::aggregate`], on an empty `per_network` or an
+    /// EDP that is not positive and finite; and, in builds with overflow
+    /// checks, when the suite's cycle counts overflow `u64`. Reports that
+    /// crossed the `evaluate_shard` wire are validated before they get
+    /// here (`naas::distributed`).
+    pub fn from_reports(
+        per_network: Vec<NetworkCost>,
+        accel: &Accelerator,
+        reward_kind: RewardKind,
+    ) -> CandidateEval {
+        let edps: Vec<f64> = per_network.iter().map(NetworkCost::edp).collect();
+        let reward = reward_kind.aggregate(&edps);
+        let area_um2 = AreaModel::default().area_mm2(accel) * 1e6;
+        let objectives =
+            ObjectiveVector::from_suite(&per_network, area_um2, ObjectiveVector::NO_ACCURACY);
+        CandidateEval {
+            per_network,
+            objectives,
+            reward,
+        }
+    }
+
     /// The slim view of this evaluation: everything the commit folds for
     /// a candidate that does not become the incumbent.
     pub fn score(&self) -> CandidateScore {
@@ -124,9 +154,9 @@ impl CandidateEval {
     }
 }
 
-/// What an accelerator-mode `evaluate_shard` reply carries per candidate:
-/// a [`CandidateEval`] without its per-network cost reports. The
-/// optimizer, the history and the Pareto archive need only this; the
+/// What an accelerator-mode `evaluate_shard` reply carries for most
+/// candidates: a [`CandidateEval`] without its per-network cost reports.
+/// The optimizer, the history and the Pareto archive need only this; the
 /// reports matter only for the candidate that becomes the incumbent, and
 /// [`accel_commit_scores`] asks for them exactly there.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -385,16 +415,7 @@ pub fn evaluate_candidate(
             design_fp,
         )?);
     }
-    let edps: Vec<f64> = per_network.iter().map(NetworkCost::edp).collect();
-    let reward = reward_kind.aggregate(&edps);
-    let area_um2 = AreaModel::default().area_mm2(accel) * 1e6;
-    let objectives =
-        ObjectiveVector::from_suite(&per_network, area_um2, ObjectiveVector::NO_ACCURACY);
-    Some(CandidateEval {
-        per_network,
-        objectives,
-        reward,
-    })
+    Some(CandidateEval::from_reports(per_network, accel, reward_kind))
 }
 
 /// Advances the search by one generation: sample, evaluate the population

@@ -57,8 +57,7 @@
 //! `worker` is the TCP-only face of `serve`, meant to stand behind a
 //! distributed run: `run --workers host:port,...` shards each
 //! generation's population over the listed workers (`evaluate_shard`
-//! requests), merges replies in candidate order, absorbs the
-//! mapping-cache deltas the replies carry into its own cache, re-issues
+//! requests), merges replies in candidate order, re-issues
 //! the shard of any worker that dies mid-generation, and produces
 //! **bit-identical** results (best design + history) to the same run
 //! without `--workers`. The shard plan is recorded in checkpoints, so
@@ -83,6 +82,11 @@
 //! Because cached results are content-addressed, warming never changes
 //! results — it only skips recomputing `(design, layer-shape)` pairs a
 //! previous run already solved, which is most of a resumed search's work.
+//! Under `--workers` the workers' caches serve the search, and the
+//! coordinator's file holds only what the coordinator computed itself
+//! (shards no worker could take, and any new incumbent whose worker
+//! report was missing or wrong); a fleet run therefore prints no cache
+//! figure, and neither does `show` for its checkpoints.
 //! `--cache-cap N` bounds the cache to N resident entries (CLOCK
 //! eviction; unbounded by default) — set it on week-long runs and on
 //! long-lived `serve`/`worker` processes so memory holds steady.
@@ -453,28 +457,25 @@ impl Driver {
         }
     }
 
-    /// The cache figure of a progress line, or with `long` the final
-    /// report's cache line. Under `--workers` the coordinator's engine
-    /// cache is only a mirror of the fleet's gossip — the workers' caches
-    /// serve the search — so its hit rate means nothing and only the
-    /// mirror's size is shown.
-    fn cache_summary(&self, stats: &naas_engine::CacheStats, long: bool) -> String {
-        let fleet = matches!(self, Driver::Distributed(_));
-        match (fleet, long) {
-            (false, false) => format!("cache {:.0}% hit", stats.hit_rate() * 100.0),
-            (false, true) => format!(
+    /// The cache figure a progress line ends with (`, cache N% hit`), or
+    /// with `long` the final report's cache line. `None` under
+    /// `--workers`: the workers' caches serve the search, so no figure
+    /// of the coordinator's cache means anything.
+    fn cache_summary(&self, stats: &naas_engine::CacheStats, long: bool) -> Option<String> {
+        if matches!(self, Driver::Distributed(_)) {
+            return None;
+        }
+        Some(if long {
+            format!(
                 "cache: {} entries, {} hits / {} misses ({:.0}% hit rate)",
                 stats.entries,
                 stats.hits,
                 stats.misses,
                 stats.hit_rate() * 100.0
-            ),
-            (true, false) => format!("cache mirror {} entries", stats.entries),
-            (true, true) => format!(
-                "cache mirror: {} entries (the workers' caches served the search)",
-                stats.entries
-            ),
-        }
+            )
+        } else {
+            format!(", cache {:.0}% hit", stats.hit_rate() * 100.0)
+        })
     }
 }
 
@@ -691,13 +692,15 @@ fn drive(
     while driver.step(engine, model, &job.networks, &mut state) {
         let last = state.history().last().expect("step appends history");
         println!(
-            "  gen {:>2}/{}: best EDP {:.3e}, population mean {:.3e}, {} valid, {}",
+            "  gen {:>2}/{}: best EDP {:.3e}, population mean {:.3e}, {} valid{}",
             state.iteration,
             iterations,
             last.best_edp,
             last.mean_edp,
             last.valid,
-            driver.cache_summary(&state.cache_stats, false)
+            driver
+                .cache_summary(&state.cache_stats, false)
+                .unwrap_or_default()
         );
         write_metrics_snapshot(engine);
         let due = policy
@@ -723,7 +726,7 @@ fn drive(
     }
     write_metrics_snapshot(engine);
     let cache_line = driver.cache_summary(&state.cache_stats, true);
-    report(state, started.elapsed(), &cache_line);
+    report(state, started.elapsed(), cache_line.as_deref());
 }
 
 fn cmd_show(args: &Args) {
@@ -735,14 +738,22 @@ fn cmd_show(args: &Args) {
     let snapshot: SearchCheckpoint = checkpoint::load(std::path::Path::new(path))
         .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}")));
     let state = &snapshot.state;
+    // A fleet run's recorded cache counters are the coordinator's, which
+    // served none of the search's lookups: print no figure of them.
+    let cache = match snapshot.shards {
+        Some(_) => String::new(),
+        None => format!(
+            ", cache {} entries ({:.0}% hit)",
+            state.cache_stats.entries,
+            state.cache_stats.hit_rate() * 100.0
+        ),
+    };
     println!(
-        "scenario `{}`: generation {}/{}, {} evaluations, cache {} entries ({:.0}% hit)",
+        "scenario `{}`: generation {}/{}, {} evaluations{cache}",
         snapshot.scenario.name,
         state.iteration,
         state.config.iterations,
         state.history().iter().map(|h| h.valid).sum::<usize>(),
-        state.cache_stats.entries,
-        state.cache_stats.hit_rate() * 100.0
     );
     match state.best() {
         Some(best) => println!(
@@ -1172,7 +1183,7 @@ fn client_metrics(addr: &str) -> ! {
     exit(0);
 }
 
-fn report(state: AccelSearchState, elapsed: std::time::Duration, cache_line: &str) {
+fn report(state: AccelSearchState, elapsed: std::time::Duration, cache_line: Option<&str>) {
     if let Some(archive) = state.archive() {
         println!("\n{}", archive.render());
     }
@@ -1187,5 +1198,7 @@ fn report(state: AccelSearchState, elapsed: std::time::Duration, cache_line: &st
         result.evaluations,
         elapsed.as_secs_f64()
     );
-    println!("{cache_line}");
+    if let Some(cache_line) = cache_line {
+        println!("{cache_line}");
+    }
 }

@@ -79,20 +79,31 @@
 //! the rest of the run. The shard *plan* (the worker address list) is
 //! recorded in checkpoints, so a resumed run re-dials the full fleet.
 //!
-//! ## Cache gossip
+//! ## Incumbent reports
 //!
-//! Shard replies piggyback a `cache_delta`: the mapping results the
-//! worker computed since its last report. The coordinator absorbs every
-//! delta into its own engine cache, so local fallback, `--cache-file`
-//! persistence and the rebuild of each new incumbent's per-network
-//! reports — which replies no longer carry — see fleet-wide results.
-//! Nothing flows back to the workers. Every cache entry is keyed by the
-//! fingerprint of the design it was searched for, so a worker's results
-//! only answer lookups for designs that worker is sent. A design
-//! evaluated again on a different worker — sampled twice, or in an
-//! identical search re-run on a warm fleet — is searched again there,
-//! with the identical result because inner seeds derive from content.
-//! Bound the caches with `--cache-cap`
+//! An accelerator-mode reply carries each candidate's score — reward and
+//! objective vector — and, only where the candidate could install a new
+//! incumbent, its per-network cost reports too. Each request states the
+//! search's best reward at generation start (`incumbent`); the worker
+//! ships the reports of every candidate whose reward is below it and
+//! below every earlier feasible reward in its shard, a superset of the
+//! slots the commit can install. The coordinator re-derives reward and
+//! objectives from shipped reports ([`CandidateEval::from_reports`]) and
+//! uses them only where they reproduce the wire score bit for bit. A
+//! missing or disagreeing report is never used: the coordinator
+//! evaluates that candidate itself, starting from a cold cache, and
+//! warns (`incumbent_mismatch`). On an honest fleet the coordinator
+//! therefore computes nothing, and a fleet coordinator's `--cache-file`
+//! holds only what it computed itself (local fallback shards and such
+//! evaluations).
+//!
+//! Workers keep what they compute, and nothing flows between them.
+//! Every cache entry is keyed by the fingerprint of the design it was
+//! searched for, so a worker's results only answer lookups for designs
+//! that worker is sent. A design evaluated again on a different worker —
+//! sampled twice, or in an identical search re-run on a warm fleet — is
+//! searched again there, with the identical result because inner seeds
+//! derive from content. Bound the caches with `--cache-cap`
 //! ([`naas_engine::MemoCache::set_entry_cap`]).
 //!
 //! # Examples
@@ -118,13 +129,12 @@ use crate::joint::{
     evaluate_joint_candidate, joint_nas_seed, joint_search_step_with, JointCandidateEval,
     JointSearchState,
 };
-use crate::mapping_search::{design_fingerprint, prefill_layer_searches, MappingSearchResult};
 use crate::pareto::ParetoArchive;
 use naas_accel::Accelerator;
-use naas_cost::{CostModel, ObjectiveVector};
+use naas_cost::{CostModel, NetworkCost, ObjectiveVector};
 use naas_engine::remote::{RemoteError, RemoteWorker};
 use naas_engine::telemetry::{self, Level};
-use naas_engine::{CacheSnapshot, Scenario};
+use naas_engine::Scenario;
 use naas_ir::Network;
 use naas_nas::AccuracyModel;
 use serde::{Deserialize, Serialize, Value};
@@ -264,14 +274,11 @@ impl SchedulerStats {
 }
 
 /// One candidate's evaluation outcome, as moved over the wire: its
-/// [`CandidateScore`] (scalarized reward and objective vector), or
-/// `None` for an infeasible design. Per-network cost reports do not
-/// travel; the coordinator rebuilds them for the incumbent alone
-/// (see [`DistributedCoordinator::step_with_scenario`]).
-pub type CandidateOutcome = Option<CandidateScore>;
-
-/// The incremental cache image piggybacked on shard replies.
-type Delta = CacheSnapshot<Option<MappingSearchResult>>;
+/// [`CandidateScore`] (scalarized reward and objective vector) plus,
+/// where the worker found that it could install a new incumbent, its
+/// per-network cost reports; `None` for an infeasible design (see
+/// [`DistributedCoordinator::step_with_scenario`]).
+pub type CandidateOutcome = Option<(CandidateScore, Option<Vec<NetworkCost>>)>;
 
 /// The parameter list of one `evaluate_shard` request.
 type ShardParams = Vec<(String, Value)>;
@@ -281,9 +288,9 @@ type ShardParams = Vec<(String, Value)>;
 /// requests.
 type BuildShard<'a> = dyn Fn(Range<usize>) -> ShardParams + Sync + 'a;
 
-/// Decodes one shard reply into per-candidate results plus the
-/// piggybacked cache delta (`Sync`: decoded on the worker threads).
-type ParseShard<T> = dyn Fn(&Value, usize) -> Result<(Vec<T>, Delta), String> + Sync;
+/// Decodes one shard reply into per-candidate results (`Sync`: decoded
+/// on the worker threads).
+type ParseShard<T> = dyn Fn(&Value, usize) -> Result<Vec<T>, String> + Sync;
 
 /// Evaluates one candidate range on the coordinator's own engine.
 type LocalFallback<'a, T> = dyn FnMut(Range<usize>) -> Vec<T> + 'a;
@@ -315,7 +322,7 @@ impl WorkerSlot {
 /// remote `naas-search worker` processes — [`DistributedCoordinator::step`]
 /// for the accelerator search, [`DistributedCoordinator::step_joint`]
 /// for the joint loop. See the module docs for the protocol, handshake,
-/// rejoin and cache-gossip semantics.
+/// rejoin and incumbent-report semantics.
 pub struct DistributedCoordinator {
     workers: Vec<WorkerSlot>,
     scenario_value: Value,
@@ -469,8 +476,8 @@ impl DistributedCoordinator {
     /// evaluations sharded over the workers — the distributed
     /// counterpart of [`crate::accel_search::accel_search_step`],
     /// producing the bit-identical state trajectory. `engine` is the
-    /// coordinator's own engine: it absorbs the fleet's cache deltas and
-    /// evaluates fallback shards when every worker is dead.
+    /// coordinator's own engine: it evaluates the shards no worker could,
+    /// and any new incumbent whose worker report is missing or wrong.
     pub fn step(
         &mut self,
         engine: &CoSearchEngine,
@@ -492,20 +499,16 @@ impl DistributedCoordinator {
     ///
     /// One step samples the generation ([`accel_sample_generation`]),
     /// evaluates it on the fleet, and commits it
-    /// ([`accel_commit_scores`]). Merged shard replies and the local
-    /// fallback both carry slim [`CandidateScore`]s. Where the commit
-    /// installs a new incumbent, the coordinator rebuilds that
-    /// candidate's per-network reports from its own memo cache, which
-    /// the fleet's `cache_delta` gossip fills with every entry a worker
-    /// computes for this coordinator. Entries the workers already held
-    /// are not gossiped — a worker cache warmed from `--cache-file` or by
-    /// an earlier search or run on the same fleet (a re-run, a `resume`)
-    /// — and entries can be evicted under `--cache-cap` or lost with a
-    /// dropped duplicate reply; the rebuild recomputes what is missing,
-    /// spread over the engine's pool. The rebuilt reward and objectives
-    /// are compared with the wire values; on a mismatch the rebuild wins
-    /// for that slot, and the coordinator warns (`incumbent_mismatch`)
-    /// and counts it.
+    /// ([`accel_commit_scores`]) on the merged [`CandidateScore`]s. Each
+    /// request carries the incumbent's reward at generation start, and
+    /// the replies carry per-network reports for every candidate that
+    /// could install a new incumbent (as does the local fallback, which
+    /// evaluates whole candidates). Where the commit installs one, the
+    /// coordinator takes the shipped reports if
+    /// [`CandidateEval::from_reports`] reproduces the wire score bit for
+    /// bit. Otherwise — no report, or one that disagrees — it evaluates
+    /// the candidate on its own engine, keeps that evaluation for the
+    /// slot, and warns (`incumbent_mismatch`) and counts it.
     pub fn step_with_scenario(
         &mut self,
         scenario_value: Value,
@@ -522,6 +525,7 @@ impl DistributedCoordinator {
         };
         self.generation = sampled.iteration;
         self.try_rejoin();
+        let incumbent = state.best().map_or(Value::Null, |b| Value::F64(b.reward));
         let slots = &sampled.slots;
         let build = |range: Range<usize>| -> ShardParams {
             let candidates: Vec<Accelerator> =
@@ -531,53 +535,48 @@ impl DistributedCoordinator {
                 ("candidates".to_string(), serde_json::to_value(&candidates)),
                 ("mapping".to_string(), serde_json::to_value(&cfg.mapping)),
                 ("reward".to_string(), serde_json::to_value(&cfg.reward)),
+                ("incumbent".to_string(), incumbent.clone()),
             ]
         };
+        let network_count = networks.len();
+        let parse =
+            move |reply: &Value, expected: usize| parse_shard_reply(reply, expected, network_count);
         let mut fallback = |range: Range<usize>| {
             naas_engine::parallel_map(engine.threads(), &slots[range], |_idx, (_, accel)| {
                 evaluate_candidate(engine, model, accel, networks, &cfg.mapping, cfg.reward)
-                    .map(|eval| eval.score())
+                    .map(|eval| (eval.score(), Some(eval.per_network)))
             })
         };
-        let results = self.evaluate_sharded(
-            engine,
-            slots.len(),
-            None,
-            &build,
-            &parse_shard_reply,
-            &mut fallback,
-        );
+        let results = self.evaluate_sharded(slots.len(), None, &build, &parse, &mut fallback);
 
-        // Commit on the slim wire scores; only a candidate that installs a
-        // new incumbent gets its per-network reports rebuilt.
+        // Commit on the wire scores; a candidate that installs a new
+        // incumbent brings the reports it was shipped with.
+        let (scores, mut reports): (Vec<_>, Vec<_>) = results
+            .into_iter()
+            .map(|outcome| match outcome {
+                Some((score, reports)) => (Some(score), reports),
+                None => (None, None),
+            })
+            .unzip();
         let generation = self.generation;
-        accel_commit_scores(state, sampled, results, |slot, accel, wire| {
-            // Entries the gossip did not bring (warm workers, evictions)
-            // are searched on the pool first, so the rebuild is all hits.
-            let fp = design_fingerprint(accel, &cfg.mapping);
-            prefill_layer_searches(
-                engine.threads(),
-                model,
-                networks,
-                accel,
-                &cfg.mapping,
-                engine.cache(),
-                fp,
-            );
-            let rebuilt =
+        accel_commit_scores(state, sampled, scores, |slot, accel, wire| {
+            let shipped = reports[slot]
+                .take()
+                .map(|per_network| CandidateEval::from_reports(per_network, accel, cfg.reward))
+                .filter(|eval| eval.score() == wire);
+            if shipped.is_some() {
+                return shipped;
+            }
+            let local =
                 evaluate_candidate(engine, model, accel, networks, &cfg.mapping, cfg.reward);
-            check_rebuilt_incumbent(generation, slot, wire, rebuilt.as_ref());
-            rebuilt
+            warn_incumbent_mismatch(generation, slot, wire, local.as_ref());
+            local
         });
         state.cache_stats = engine.cache_stats();
         if let Some(archive) = state.archive() {
             self.publish_pareto_telemetry(archive);
         }
-        self.finish_generation(
-            started,
-            state.best().map(|b| b.reward),
-            engine.cache_stats().hit_rate(),
-        );
+        self.finish_generation(started, state.best().map(|b| b.reward));
         true
     }
 
@@ -646,7 +645,6 @@ impl DistributedCoordinator {
                 )
             };
             self.evaluate_sharded(
-                engine,
                 slots.len(),
                 Some(JOINT_CAPABILITY),
                 &build,
@@ -658,11 +656,7 @@ impl DistributedCoordinator {
             if let Some(archive) = state.archive() {
                 self.publish_pareto_telemetry(archive);
             }
-            self.finish_generation(
-                started,
-                state.best().map(|b| b.edp),
-                engine.cache_stats().hit_rate(),
-            );
+            self.finish_generation(started, state.best().map(|b| b.edp));
         }
         advanced
     }
@@ -689,15 +683,10 @@ impl DistributedCoordinator {
 
     /// Telemetry for one completed generation: records the wall time,
     /// bumps the generation counter, and emits the per-generation
-    /// progress event (generation index, best reward, cache hit rate,
-    /// slowest first-wave shard). Debug level: it flows to the
-    /// `--metrics-file` sink without spamming stderr.
-    fn finish_generation(
-        &mut self,
-        started: std::time::Instant,
-        best_reward: Option<f64>,
-        hit_rate: f64,
-    ) {
+    /// progress event (generation index, best reward, slowest
+    /// first-wave shard). Debug level: it flows to the `--metrics-file`
+    /// sink without spamming stderr.
+    fn finish_generation(&mut self, started: std::time::Instant, best_reward: Option<f64>) {
         let coordinator = &telemetry::metrics().coordinator;
         coordinator.generations.inc();
         coordinator
@@ -705,7 +694,6 @@ impl DistributedCoordinator {
             .observe_duration(started.elapsed());
         let mut fields = vec![
             ("generation".to_string(), Value::U64(self.generation as u64)),
-            ("cache_hit_rate".to_string(), Value::F64(hit_rate)),
             (
                 "wall_us".to_string(),
                 Value::U64(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)),
@@ -866,7 +854,6 @@ impl DistributedCoordinator {
     /// distribution invisible in the trajectory.
     fn evaluate_sharded<T: Send>(
         &mut self,
-        engine: &CoSearchEngine,
         n: usize,
         capability: Option<&str>,
         build: &BuildShard<'_>,
@@ -887,7 +874,7 @@ impl DistributedCoordinator {
                 leftovers.push(0..n);
             }
         } else if n > 0 {
-            self.run_scheduler(engine, n, &live, build, parse, &mut merged, &mut leftovers);
+            self.run_scheduler(n, &live, build, parse, &mut merged, &mut leftovers);
         }
 
         // Evaluate locally whatever the fleet could not finish: orderly
@@ -919,15 +906,12 @@ impl DistributedCoordinator {
     /// Runs one generation's micro-shard scheduler over the `live`
     /// workers: plans per-worker queues by throughput, spawns one
     /// pipelining thread per worker against the shared scheduler state
-    /// (each merges its replies and absorbs their cache deltas into
-    /// `engine`'s cache), then applies the post-mortem — EWMA updates,
-    /// deaths/rejections, telemetry — back onto `self`.
+    /// (each merges its own replies), then applies the post-mortem —
+    /// EWMA updates, deaths/rejections, telemetry — back onto `self`.
     /// Un-finished ranges are appended to `leftovers` for the caller's
     /// local fallback.
-    #[allow(clippy::too_many_arguments)]
     fn run_scheduler<T: Send>(
         &mut self,
-        engine: &CoSearchEngine,
         n: usize,
         live: &[usize],
         build: &BuildShard<'_>,
@@ -975,7 +959,7 @@ impl DistributedCoordinator {
                 let remote = &mut slot.remote;
                 handles.push(scope.spawn(move || {
                     worker_loop(
-                        remote, widx, rate_known, deadline, sched, merge, engine, build, parse,
+                        remote, widx, rate_known, deadline, sched, merge, build, parse,
                     )
                 }));
             }
@@ -1105,10 +1089,10 @@ impl DistributedCoordinator {
 /// coordinator behind a mutex, and every step method takes `&self` —
 /// concurrent jobs serialize on the fleet one generation at a time
 /// (generations are the natural quantum: each is a self-contained
-/// fan-out). The jobs share every memo cache on the way: a design one
-/// job already evaluated on a worker, under the same mapping budget, is
-/// a cache hit when another job's shard brings it to that worker again,
-/// and the coordinator's cache absorbs every job's reply deltas.
+/// fan-out). The jobs share the workers' memo caches: a design one job
+/// already evaluated on a worker, under the same mapping budget, is a
+/// cache hit when another job's shard brings it to that worker again.
+/// Each job's step ships that job's own incumbent with its requests.
 /// Because every candidate evaluation is a pure function of its
 /// content, interleaving generations of different jobs onto one
 /// coordinator leaves each job's trajectory bit-identical to a solo
@@ -1401,11 +1385,10 @@ fn sched_lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 
 /// One worker's scheduler thread: keeps the RPC pipeline full from the
 /// shared queues (own → pool → steal → speculate past `deadline`),
-/// merges winning replies into `merge` and absorbs their cache deltas
-/// into `engine`'s cache, drops duplicate late replies by shard id, and
-/// reports how it ended. Never touches the coordinator — deaths, events
-/// and EWMA updates are applied post-scope from the returned
-/// [`WorkerEnd`].
+/// merges winning replies into `merge`, drops duplicate late replies by
+/// shard id, and reports how it ended. Never touches the coordinator —
+/// deaths, events and EWMA updates are applied post-scope from the
+/// returned [`WorkerEnd`].
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<T: Send>(
     remote: &mut RemoteWorker,
@@ -1414,7 +1397,6 @@ fn worker_loop<T: Send>(
     deadline: Duration,
     sched: &Mutex<Sched>,
     merge: &Mutex<Vec<Option<T>>>,
-    engine: &CoSearchEngine,
     build: &BuildShard<'_>,
     parse: &ParseShard<T>,
 ) -> WorkerEnd {
@@ -1478,17 +1460,12 @@ fn worker_loop<T: Send>(
                             };
                             if let Some(range) = claim {
                                 match parse(&reply, range.len()) {
-                                    Ok((results, delta)) => {
+                                    Ok(results) => {
                                         end.completed += range.len() as u64;
                                         let mut m = sched_lock(merge);
                                         for (slot, result) in range.clone().zip(results) {
                                             m[slot] = Some(result);
                                         }
-                                        drop(m);
-                                        telemetry::metrics()
-                                            .coordinator
-                                            .deltas_gossiped
-                                            .add(engine.cache().absorb(delta) as u64);
                                     }
                                     Err(message) => {
                                         // Un-claim so the range re-routes.
@@ -1695,30 +1672,23 @@ fn shard_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Checks the coordinator's rebuild of a new incumbent against the wire
-/// score it completes. A disagreement means the worker's reply
-/// contradicts the mapping results the coordinator holds or recomputed
-/// for it; the commit keeps the rebuild, and the disagreement is counted
-/// and reported here.
-fn check_rebuilt_incumbent(
+/// Counts and reports a new incumbent whose worker shipped no report, or
+/// one that does not reproduce the wire score: a worker that breaks the
+/// protocol or contradicts itself. The commit keeps `local`, the
+/// coordinator's own evaluation of the candidate.
+fn warn_incumbent_mismatch(
     generation: usize,
     slot: usize,
     wire: CandidateScore,
-    rebuilt: Option<&CandidateEval>,
+    local: Option<&CandidateEval>,
 ) {
-    // `validate_wire_eval` admitted no NaN, so the derived `==` is exact.
-    // It only decides whether to warn: the commit folds the rebuild.
-    let rebuilt = rebuilt.map(CandidateEval::score);
-    if rebuilt == Some(wire) {
-        return;
-    }
     telemetry::metrics().coordinator.incumbent_mismatches.inc();
     telemetry::events().emit(
         Level::Warn,
         "incumbent_mismatch",
         &format!(
-            "generation {generation} slot {slot}: the wire score (reward {}) disagrees with \
-             the coordinator's rebuild of the candidate; keeping the rebuild",
+            "generation {generation} slot {slot}: the worker's report is missing or disagrees \
+             with its wire score (reward {}); keeping the coordinator's own evaluation",
             wire.reward
         ),
         &[
@@ -1726,16 +1696,16 @@ fn check_rebuilt_incumbent(
             ("slot", Value::U64(slot as u64)),
             ("wire_reward", Value::F64(wire.reward)),
             (
-                "rebuilt_reward",
-                rebuilt.map_or(Value::Null, |score| Value::F64(score.reward)),
+                "local_reward",
+                local.map_or(Value::Null, |eval| Value::F64(eval.reward)),
             ),
         ],
     );
 }
 
 /// Decodes the framing shared by both shard-reply shapes: the `results`
-/// array (cardinality-checked) and the piggybacked `cache_delta`.
-fn parse_reply_frame(reply: &Value, expected: usize) -> Result<(&[Value], Delta), String> {
+/// array, cardinality-checked.
+fn parse_reply_frame(reply: &Value, expected: usize) -> Result<&[Value], String> {
     let results = reply
         .get("results")
         .and_then(Value::as_array)
@@ -1746,15 +1716,7 @@ fn parse_reply_frame(reply: &Value, expected: usize) -> Result<(&[Value], Delta)
             results.len()
         ));
     }
-    let delta = match reply.get("cache_delta") {
-        None | Some(Value::Null) => CacheSnapshot {
-            entries: Vec::new(),
-        },
-        Some(value) => {
-            serde_json::from_value(value).map_err(|e| format!("invalid `cache_delta`: {e}"))?
-        }
-    };
-    Ok((results, delta))
+    Ok(results)
 }
 
 /// Validates wire-sourced evaluation values at the deserialization seam
@@ -1772,14 +1734,59 @@ fn validate_wire_eval(reward: f64, objectives: &ObjectiveVector) -> Result<(), S
         .map_err(|e| format!("wire objectives rejected: {e}"))
 }
 
-/// Decodes one accelerator-search `evaluate_shard` reply (protocol v5:
-/// each result is `{reward, objectives}`) into per-candidate outcomes
-/// and the piggybacked cache delta.
+/// Validates per-network cost reports that crossed the wire, so that
+/// [`CandidateEval::from_reports`] cannot panic on them: one report per
+/// benchmark network (`networks`), each with at least one layer, every
+/// layer energy finite and positive, cycle counts that sum within `u64`
+/// per network and over the suite, and a finite positive EDP per network
+/// (which rules out all-zero cycles and energy sums that overflow).
+fn validate_wire_reports(per_network: &[NetworkCost], networks: usize) -> Result<(), String> {
+    if per_network.len() != networks {
+        return Err(format!(
+            "`per_network` holds {} reports for {networks} networks",
+            per_network.len()
+        ));
+    }
+    let mut suite_cycles = 0u64;
+    for (n, report) in per_network.iter().enumerate() {
+        if report.layers.is_empty() {
+            return Err(format!("`per_network[{n}]` has no layers"));
+        }
+        let mut cycles = 0u64;
+        for layer in &report.layers {
+            if !layer.energy_pj.is_finite() || layer.energy_pj <= 0.0 {
+                return Err(format!(
+                    "`per_network[{n}]` layer energy_pj must be finite positive, got {}",
+                    layer.energy_pj
+                ));
+            }
+            cycles = cycles
+                .checked_add(layer.cycles)
+                .ok_or_else(|| format!("`per_network[{n}]` layer cycles overflow u64"))?;
+        }
+        suite_cycles = suite_cycles
+            .checked_add(cycles)
+            .ok_or_else(|| "`per_network` cycles overflow u64 over the suite".to_string())?;
+        let edp = report.edp();
+        if !edp.is_finite() || edp <= 0.0 {
+            return Err(format!(
+                "`per_network[{n}]` EDP must be finite positive, got {edp}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Decodes one accelerator-search `evaluate_shard` reply (protocol v8:
+/// each result is `{reward, objectives}`, plus a `per_network` array of
+/// `networks` reports where the candidate could install a new incumbent)
+/// into per-candidate outcomes.
 fn parse_shard_reply(
     reply: &Value,
     expected: usize,
-) -> Result<(Vec<CandidateOutcome>, Delta), String> {
-    let (results, delta) = parse_reply_frame(reply, expected)?;
+    networks: usize,
+) -> Result<Vec<CandidateOutcome>, String> {
+    let results = parse_reply_frame(reply, expected)?;
     let mut outcomes = Vec::with_capacity(expected);
     for entry in results {
         outcomes.push(match entry {
@@ -1796,22 +1803,30 @@ fn parse_shard_reply(
                 )
                 .map_err(|e| format!("invalid `objectives`: {e}"))?;
                 validate_wire_eval(reward, &objectives)?;
-                Some(CandidateScore { reward, objectives })
+                let reports = match value.get("per_network") {
+                    None | Some(Value::Null) => None,
+                    Some(reports) => {
+                        let reports: Vec<NetworkCost> = serde_json::from_value(reports)
+                            .map_err(|e| format!("invalid `per_network`: {e}"))?;
+                        validate_wire_reports(&reports, networks)?;
+                        Some(reports)
+                    }
+                };
+                Some((CandidateScore { reward, objectives }, reports))
             }
         });
     }
-    Ok((outcomes, delta))
+    Ok(outcomes)
 }
 
 /// Decodes one joint-mode `evaluate_shard` reply: per-candidate
-/// [`JointCandidateEval`]s (`null` = no feasible subnet) and the cache
-/// delta. Wire values pass the same trust-boundary validation as
-/// accelerator-mode replies.
+/// [`JointCandidateEval`]s (`null` = no feasible subnet). Wire values
+/// pass the same trust-boundary validation as accelerator-mode replies.
 fn parse_joint_shard_reply(
     reply: &Value,
     expected: usize,
-) -> Result<(Vec<Option<JointCandidateEval>>, Delta), String> {
-    let (results, delta) = parse_reply_frame(reply, expected)?;
+) -> Result<Vec<Option<JointCandidateEval>>, String> {
+    let results = parse_reply_frame(reply, expected)?;
     let mut outcomes = Vec::with_capacity(expected);
     for entry in results {
         outcomes.push(match entry {
@@ -1824,7 +1839,7 @@ fn parse_joint_shard_reply(
             }
         });
     }
-    Ok((outcomes, delta))
+    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -1854,28 +1869,37 @@ mod tests {
     const GOOD_OBJECTIVES: &str =
         r#"{"latency_cycles": 1000, "energy_nj": 5.0, "area_um2": 2.0e6, "accuracy": 0.0}"#;
 
+    /// A layer cost as the cost model produces it, to poison field by
+    /// field.
+    fn honest_layer() -> naas_cost::LayerCost {
+        let layer = naas_ir::ConvSpec::conv2d("l", 16, 16, (8, 8), (3, 3), 1, 1).unwrap();
+        let accel = naas_accel::baselines::eyeriss();
+        let mapping = naas_mapping::Mapping::balanced(&layer, &accel);
+        CostModel::new()
+            .evaluate(&layer, &accel, &mapping)
+            .expect("the balanced mapping fits")
+    }
+
     #[test]
     fn shard_reply_parsing_rejects_malformed_replies() {
         let good: Value = serde_json::parse_str(&format!(
             r#"{{"results": [null, {{"reward": 2.5, "objectives": {GOOD_OBJECTIVES}}}]}}"#,
         ))
         .unwrap();
-        let (outcomes, delta) = parse_shard_reply(&good, 2).unwrap();
+        let outcomes = parse_shard_reply(&good, 2, 1).unwrap();
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes[0].is_none());
-        assert_eq!(outcomes[1].as_ref().unwrap().reward, 2.5);
-        assert_eq!(
-            outcomes[1].as_ref().unwrap().objectives.latency_cycles,
-            1000
-        );
-        assert!(delta.entries.is_empty());
+        let (score, reports) = outcomes[1].as_ref().unwrap();
+        assert_eq!(score.reward, 2.5);
+        assert_eq!(score.objectives.latency_cycles, 1000);
+        assert!(reports.is_none(), "a slim result ships no reports");
 
         // Wrong cardinality: a truncated reply must not silently merge.
-        assert!(parse_shard_reply(&good, 3)
+        assert!(parse_shard_reply(&good, 3, 1)
             .unwrap_err()
             .contains("mismatch"));
         let no_results: Value = serde_json::parse_str(r#"{"ok": true}"#).unwrap();
-        assert!(parse_shard_reply(&no_results, 1)
+        assert!(parse_shard_reply(&no_results, 1, 1)
             .unwrap_err()
             .contains("results"));
         // A v2-shaped result (no objective vector) is a protocol error,
@@ -1884,7 +1908,7 @@ mod tests {
             r#"{"results": [{"reward": 2.5, "per_network": [{"layers": []}]}]}"#,
         )
         .unwrap();
-        assert!(parse_shard_reply(&v2_shape, 1)
+        assert!(parse_shard_reply(&v2_shape, 1, 1)
             .unwrap_err()
             .contains("objectives"));
     }
@@ -1909,10 +1933,80 @@ mod tests {
             ))
             .unwrap();
             assert!(
-                parse_shard_reply(&reply, 1).is_err(),
+                parse_shard_reply(&reply, 1, 1).is_err(),
                 "poison accepted: {poison}"
             );
         }
+        // Shipped reports must not panic `CandidateEval::from_reports`:
+        // a report per network, non-empty layer lists, finite positive
+        // energies, and cycle counts that sum within `u64`.
+        let layer = |cycles: u64, energy_pj: f64| {
+            let mut layer = honest_layer();
+            layer.cycles = cycles;
+            layer.energy_pj = energy_pj;
+            layer
+        };
+        let full = |per_network: Vec<Vec<naas_cost::LayerCost>>| {
+            let per_network: Vec<NetworkCost> = per_network
+                .into_iter()
+                .map(|layers| NetworkCost { layers })
+                .collect();
+            let result = Value::Object(vec![
+                ("reward".to_string(), Value::F64(2.5)),
+                (
+                    "objectives".to_string(),
+                    serde_json::parse_str(GOOD_OBJECTIVES).unwrap(),
+                ),
+                (
+                    "per_network".to_string(),
+                    serde_json::to_value(&per_network),
+                ),
+            ]);
+            Value::Object(vec![("results".to_string(), Value::Array(vec![result]))])
+        };
+        let honest = full(vec![vec![layer(100, 5.0)], vec![layer(200, 7.0)]]);
+        let outcomes = parse_shard_reply(&honest, 1, 2).expect("honest reports parse");
+        let reports = outcomes[0].as_ref().and_then(|(_, r)| r.as_ref());
+        assert_eq!(reports.map(Vec::len), Some(2));
+        for (poison, want) in [
+            (
+                full(vec![vec![layer(100, 5.0)]]),
+                "1 reports for 2 networks",
+            ),
+            (full(vec![vec![layer(100, 5.0)], vec![]]), "no layers"),
+            (
+                full(vec![vec![layer(100, 5.0)], vec![layer(200, 0.0)]]),
+                "energy_pj",
+            ),
+            (
+                full(vec![vec![layer(100, -5.0)], vec![layer(200, 7.0)]]),
+                "energy_pj",
+            ),
+            (
+                full(vec![
+                    vec![layer(u64::MAX, 5.0), layer(2, 5.0)],
+                    vec![layer(200, 7.0)],
+                ]),
+                "overflow",
+            ),
+        ] {
+            let err = parse_shard_reply(&poison, 1, 2).expect_err("poisoned report accepted");
+            assert!(err.contains(want), "{err} should name {want}");
+        }
+        // NaN and infinite energies cannot appear in JSON text; the seam
+        // rejects them should a `Value` carry them anyway.
+        for energy_pj in [f64::NAN, f64::INFINITY] {
+            let report = NetworkCost {
+                layers: vec![layer(100, energy_pj)],
+            };
+            assert!(validate_wire_reports(&[report], 1).is_err());
+        }
+        // Cycle counts that overflow only over the whole suite.
+        let big = NetworkCost {
+            layers: vec![layer(u64::MAX / 2 + 1, 5.0)],
+        };
+        let err = validate_wire_reports(&[big.clone(), big], 2).unwrap_err();
+        assert!(err.contains("over the suite"), "{err}");
         // NaN cannot appear in JSON text, but the seam must still hold
         // if a Value carries one (e.g. a future binary framing).
         let mut objectives = ObjectiveVector {
@@ -2020,10 +2114,8 @@ mod tests {
 
     #[test]
     fn joint_reply_parsing_rejects_malformed_outcomes() {
-        let good: Value =
-            serde_json::parse_str(r#"{"results": [null], "cache_delta": {"entries": []}}"#)
-                .unwrap();
-        let (outcomes, _) = parse_joint_shard_reply(&good, 1).unwrap();
+        let good: Value = serde_json::parse_str(r#"{"results": [null]}"#).unwrap();
+        let outcomes = parse_joint_shard_reply(&good, 1).unwrap();
         assert_eq!(outcomes, vec![None]);
         let bad: Value = serde_json::parse_str(r#"{"results": [{"nonsense": 1}]}"#).unwrap();
         assert!(parse_joint_shard_reply(&bad, 1)
@@ -2045,7 +2137,7 @@ mod tests {
                 Value::Array(vec![serde_json::to_value(eval)]),
             )])
         };
-        let (outcomes, _) = parse_joint_shard_reply(&reply(&eval), 1).unwrap();
+        let outcomes = parse_joint_shard_reply(&reply(&eval), 1).unwrap();
         assert_eq!(outcomes, vec![Some(eval.clone())]);
 
         // Wrong cardinality: a truncated reply must not silently merge.

@@ -23,11 +23,11 @@
 //! | `metrics`        | a full process telemetry snapshot ([`naas_engine::telemetry`]) |
 //! | `shutdown`       | acknowledges, then the server drains and persists   |
 //!
-//! `evaluate_shard` replies carry a `cache_delta`: an incremental
-//! [`MemoCache`] snapshot of the mapping results the worker computed
-//! since its last reply, which the coordinator absorbs into its own
-//! cache. It is the one way a worker ships results. The full wire spec
-//! is `docs/PROTOCOL.md`.
+//! `evaluate_shard` replies are the one way a worker ships results: in
+//! accelerator mode, each candidate's score, plus its full per-network
+//! cost reports where it could install a new incumbent (see
+//! [`BatchEvalService`]'s `evaluate_shard`). The full wire spec is
+//! `docs/PROTOCOL.md`.
 //!
 //! Concurrent in-flight requests are coalesced by the engine's
 //! [`Batcher`] and fanned out over the pool in one `parallel_map` call
@@ -124,13 +124,7 @@ pub struct ServiceConfig {
 /// generations to a worker. A [`crate::gateway::GatewayService`] appends
 /// `"jobs"` on top of this list — only processes actually serving the
 /// `job_*` command family advertise it.
-pub const CAPABILITIES: &[&str] = &[
-    "evaluate_shard",
-    "joint",
-    "cache_gossip",
-    "metrics",
-    "objectives",
-];
+pub const CAPABILITIES: &[&str] = &["evaluate_shard", "joint", "metrics", "objectives"];
 
 /// What the stream/batcher plumbing ([`ServiceServer`]) needs from a
 /// service: answer one framed request line, size the batch fan-out, and
@@ -700,7 +694,9 @@ impl BatchEvalService {
     ///   against a scenario's benchmark suite through
     ///   [`accel_search::evaluate_candidate`], the exact evaluation a
     ///   single-process `accel_search_step` performs, and answered as its
-    ///   [`accel_search::CandidateScore`] (`{reward, objectives}`);
+    ///   [`accel_search::CandidateScore`] (`{reward, objectives}`), or
+    ///   whole where it could install a new incumbent
+    ///   (`incumbent_candidates`);
     /// * **joint search** (`joint` parameter present): each candidate
     ///   runs its whole NAS evolution through
     ///   [`crate::joint::evaluate_joint_candidate`], seeded by the
@@ -708,9 +704,7 @@ impl BatchEvalService {
     ///
     /// Either way, shard results merged in candidate order reproduce
     /// the single-process search bit-for-bit. Infeasible candidates
-    /// answer `null` (a result, not a request failure). The reply
-    /// piggybacks a `cache_delta` of every mapping result this worker
-    /// computed since its last report, for the coordinator's own cache.
+    /// answer `null` (a result, not a request failure).
     fn evaluate_shard(&self, request: &Request) -> Result<Value, ServiceError> {
         let candidates_value = request.param("candidates").ok_or_else(|| {
             ServiceError::BadRequest("`candidates` (array of design objects) is required".into())
@@ -722,7 +716,6 @@ impl BatchEvalService {
                 .map_err(|e| ServiceError::BadRequest(format!("invalid mapping config: {e}")))?,
             None => self.mapping_config(request)?,
         };
-        self.engine.cache().enable_journal();
 
         if self.config.eval_delay_us > 0 {
             let _slow = self
@@ -743,15 +736,13 @@ impl BatchEvalService {
         Ok(Value::Object(vec![
             ("count".to_string(), Value::U64(entries.len() as u64)),
             ("results".to_string(), Value::Array(entries)),
-            (
-                "cache_delta".to_string(),
-                serde_json::to_value(&self.engine.cache().take_new_entries()),
-            ),
         ]))
     }
 
     /// The accelerator-search mode of [`Self::evaluate_shard`]:
-    /// candidates × the scenario's benchmark suite.
+    /// candidates × the scenario's benchmark suite. The optional
+    /// `incumbent` parameter is the search's best reward when the
+    /// generation started (`null` before there is one).
     fn evaluate_accel_shard(
         &self,
         request: &Request,
@@ -769,6 +760,12 @@ impl BatchEvalService {
                 .map_err(|e| ServiceError::BadRequest(format!("invalid reward kind: {e}")))?,
             None => RewardKind::Geomean,
         };
+        let incumbent = match request.param("incumbent") {
+            None | Some(Value::Null) => None,
+            Some(value) => Some(value.as_f64().ok_or_else(|| {
+                ServiceError::BadRequest("`incumbent` must be a number or null".into())
+            })?),
+        };
         let results = parallel_map(self.threads(), candidates, |_idx, accel| {
             accel_search::evaluate_candidate(
                 &self.engine,
@@ -779,14 +776,13 @@ impl BatchEvalService {
                 reward,
             )
         });
-        // Protocol v5 result shape: the scalarized reward and the
-        // objective vector. The per-network reports stay here — the
-        // coordinator rebuilds them for the incumbent alone, from the
-        // mapping results this reply's `cache_delta` gossips.
+        let full = incumbent_candidates(&results, incumbent);
         Ok(results
             .iter()
-            .map(|outcome| match outcome {
+            .zip(full)
+            .map(|(outcome, full)| match outcome {
                 None => Value::Null,
+                Some(eval) if full => serde_json::to_value(eval),
                 Some(eval) => serde_json::to_value(&eval.score()),
             })
             .collect())
@@ -847,6 +843,31 @@ impl BatchEvalService {
             })
             .collect())
     }
+}
+
+/// Which candidates of an accelerator-mode shard a reply ships whole,
+/// per-network reports included: exactly those whose reward is strictly
+/// below both `incumbent` (the search's best reward when the generation
+/// started, `None` before there is one) and every earlier feasible
+/// reward in the shard. The commit installs a new incumbent only where a
+/// reward beats the incumbent and every earlier reward of the whole
+/// generation, so this set holds every candidate it can install; late in
+/// a search it is usually empty.
+fn incumbent_candidates(
+    results: &[Option<accel_search::CandidateEval>],
+    incumbent: Option<f64>,
+) -> Vec<bool> {
+    let mut best = incumbent.unwrap_or(f64::INFINITY);
+    results
+        .iter()
+        .map(|outcome| match outcome {
+            Some(eval) if eval.reward < best => {
+                best = eval.reward;
+                true
+            }
+            _ => false,
+        })
+        .collect()
 }
 
 /// One queued request: the framed request (parsed once, in the stream

@@ -47,64 +47,72 @@ fn run_search(extra: &[&str]) -> String {
     naas_search(&args)
 }
 
-/// Asserts a fleet run's final report line names the mirror.
-fn assert_mirror_summary(out: &str) {
-    let summary = out
-        .lines()
-        .find(|l| l.starts_with("cache"))
-        .expect("a final cache line");
-    assert!(summary.starts_with("cache mirror: "), "{summary}");
+/// Asserts a fleet-mode output prints no cache figure: no progress-line
+/// hit rate, no final cache line, no entry count.
+fn assert_no_cache_figure(out: &str) {
     assert!(
-        !out.contains("% hit") && !out.contains("hits /"),
-        "no hit rate in fleet mode:\n{out}"
+        !out.contains("cache"),
+        "a cache figure in fleet mode:\n{out}"
     );
 }
 
 /// The block from the design card to the reward line, without the
 /// wall-clock suffix — what must match between local and fleet runs.
 fn result_block(out: &str) -> String {
-    out.lines()
-        .skip_while(|l| !l.starts_with("best design:"))
-        .take_while(|l| !l.starts_with("cache"))
-        .map(|l| l.split(" [").next().unwrap_or(l))
-        .collect::<Vec<_>>()
-        .join("\n")
+    let mut block = Vec::new();
+    for line in out.lines().skip_while(|l| !l.starts_with("best design:")) {
+        block.push(line.split(" [").next().unwrap_or(line));
+        if line.starts_with("reward") {
+            break;
+        }
+    }
+    block.join("\n")
 }
 
-/// Under `--workers` the coordinator's cache only mirrors the fleet's
-/// gossip and serves none of the search's lookups, so its hit rate is
-/// meaningless: fleet runs (and their resumes) print the mirror's size
-/// instead, labelled as the mirror, and no hit rate anywhere. A local
-/// run keeps its hit rate.
+/// A temporary checkpoint path unique to this process and `label`.
+fn temp_checkpoint(label: &str) -> String {
+    let path = std::env::temp_dir().join(format!("naas-cli-{label}-{}.ckpt", std::process::id()));
+    path.to_str().expect("UTF-8 temp path").to_string()
+}
+
+/// Under `--workers` the workers' caches serve the search, and the
+/// coordinator's own cache serves none of its lookups, so `run`,
+/// `resume` and `show` of a fleet run print no cache figure at all. A
+/// local run keeps its hit rates, and `show` of its checkpoint its
+/// cache figure.
 #[test]
 fn fleet_runs_report_the_cache_mirror_without_a_hit_rate() {
-    let local = run_search(&[]);
+    let local_checkpoint = temp_checkpoint("local");
+    let local = run_search(&["--checkpoint", &local_checkpoint]);
     let gens: Vec<&str> = local.lines().filter(|l| l.contains(" gen ")).collect();
     assert!(!gens.is_empty(), "no progress lines:\n{local}");
     assert!(gens.iter().all(|l| l.ends_with("% hit")), "{local}");
     assert!(local.contains("hits / "), "{local}");
+    let shown = naas_search(&["show", &local_checkpoint]);
+    assert!(shown.contains("% hit)"), "{shown}");
+    let _ = std::fs::remove_file(&local_checkpoint);
 
     let workers = format!("{},{}", spawn_worker(), spawn_worker());
-    let checkpoint = std::env::temp_dir().join(format!("naas-cli-{}.ckpt", std::process::id()));
-    let checkpoint = checkpoint.to_str().expect("UTF-8 temp path");
-    let fleet = run_search(&["--workers", &workers, "--checkpoint", checkpoint]);
-    let gens: Vec<&str> = fleet.lines().filter(|l| l.contains(" gen ")).collect();
-    assert!(!gens.is_empty(), "no progress lines:\n{fleet}");
-    for line in &gens {
-        assert!(line.contains("cache mirror "), "{line}");
-        assert!(line.ends_with(" entries"), "{line}");
-    }
-    assert_mirror_summary(&fleet);
+    let checkpoint = temp_checkpoint("fleet");
+    let fleet = run_search(&["--workers", &workers, "--checkpoint", &checkpoint]);
+    let gens = fleet.lines().filter(|l| l.contains(" gen ")).count();
+    assert!(gens > 0, "no progress lines:\n{fleet}");
+    assert_no_cache_figure(&fleet);
 
     let expected = result_block(&local);
     assert!(expected.contains("reward"), "no result block:\n{local}");
     assert_eq!(result_block(&fleet), expected);
 
     // `resume` re-dials the recorded fleet and reports the same way.
-    let resumed = naas_search(&["resume", checkpoint]);
-    assert_mirror_summary(&resumed);
+    let resumed = naas_search(&["resume", &checkpoint]);
+    assert_no_cache_figure(&resumed);
     assert_eq!(result_block(&resumed), expected);
-    let _ = std::fs::remove_file(checkpoint);
+
+    // `show` of a checkpoint that records a shard plan, likewise.
+    let shown = naas_search(&["show", &checkpoint]);
+    assert!(shown.contains(" evaluations"), "{shown}");
+    assert_no_cache_figure(&shown);
+    let _ = std::fs::remove_file(&checkpoint);
 }
 
 /// Runs `naas-search` with `args` against a listener standing in for a

@@ -122,10 +122,6 @@ impl CacheStats {
 
 const SHARDS: usize = 16;
 
-/// Upper bound on undrained journal keys (~10 MB of keys). See
-/// [`MemoCache::enable_journal`].
-pub const JOURNAL_CAP: usize = 100_000;
-
 type CacheKey = (u64, LayerKey);
 
 /// One shard of the memo table: the map itself plus the CLOCK
@@ -222,11 +218,6 @@ pub struct MemoCache<V> {
     cap: AtomicUsize,
     /// Entries evicted to honour the cap (lifetime counter).
     evicted: AtomicU64,
-    /// Keys computed locally since the last [`MemoCache::take_new_entries`]
-    /// drain — `None` until journaling is enabled. Only *computed* entries
-    /// are journaled; absorbed ones came from elsewhere and would be
-    /// echoed back to their source.
-    journal: Mutex<Option<Vec<(u64, LayerKey)>>>,
 }
 
 impl<V> Default for MemoCache<V> {
@@ -245,7 +236,6 @@ impl<V> MemoCache<V> {
             entries: AtomicUsize::new(0),
             cap: AtomicUsize::new(0),
             evicted: AtomicU64::new(0),
-            journal: Mutex::new(None),
         }
     }
 
@@ -275,45 +265,6 @@ impl<V> MemoCache<V> {
     /// Entries evicted so far to honour the cap (lifetime counter).
     pub fn evictions(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Starts journaling locally computed entries, so
-    /// [`MemoCache::take_new_entries`] can export them as incremental
-    /// deltas (what a distributed worker ships to its coordinator on
-    /// every shard reply). Idempotent;
-    /// entries computed before the first call are not journaled. Off by
-    /// default — a long single-process search has no consumer for the
-    /// journal and should not grow one. Once enabled, the journal stays
-    /// bounded even if its consumer disappears: an undrained backlog is
-    /// dropped past [`JOURNAL_CAP`] keys (gossip is best-effort; the
-    /// cache itself keeps every value).
-    pub fn enable_journal(&self) {
-        let mut journal = self.journal.lock().unwrap_or_else(|p| p.into_inner());
-        if journal.is_none() {
-            *journal = Some(Vec::new());
-        }
-    }
-
-    fn record_journal(&self, design_fp: u64, key: LayerKey) {
-        let mut journal = self.journal.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(entries) = journal.as_mut() {
-            if entries.len() >= JOURNAL_CAP {
-                // The backlog hit its cap: compact first (an evicted and
-                // recomputed key is journaled once per computation, so
-                // duplicates accumulate on a capped cache), and only if
-                // the backlog is *still* full — nothing has drained for
-                // ~CAP distinct computations, the consumer that enabled
-                // journaling is gone — drop the oldest half rather than
-                // grow forever. Deltas are an optimization; the cache
-                // itself still holds every live value.
-                let mut seen = HashSet::with_capacity(entries.len());
-                entries.retain(|e| seen.insert(*e));
-                if entries.len() >= JOURNAL_CAP {
-                    entries.drain(..JOURNAL_CAP / 2);
-                }
-            }
-            entries.push((design_fp, key));
-        }
     }
 
     fn shard_idx(design_fp: u64, key: &LayerKey) -> usize {
@@ -435,7 +386,6 @@ impl<V: Clone> MemoCache<V> {
         });
         if computed {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.record_journal(design_fp, key);
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -448,46 +398,6 @@ impl<V: Clone> MemoCache<V> {
             self.enforce_cap(home);
         }
         value
-    }
-
-    /// Drains the journal (see [`MemoCache::enable_journal`]) into a
-    /// [`CacheSnapshot`] of everything this process computed since the
-    /// last drain — the incremental delta a distributed worker piggybacks
-    /// on its shard replies. Entries are ordered like
-    /// [`MemoCache::snapshot`] (content fingerprint), so the same new
-    /// work always produces the same delta. Returns an empty snapshot
-    /// when journaling is off or nothing new was computed.
-    ///
-    /// The drain is atomic but process-global: when two requests drain
-    /// concurrently, each journaled entry lands in exactly one of the
-    /// two deltas. Every entry still reaches *a* consumer (and stays in
-    /// this cache regardless), so a worker serving concurrent
-    /// coordinators ships each of them only part of what it computed for
-    /// them — best-effort, never wrong: a coordinator recomputes a
-    /// missing entry when it needs it.
-    pub fn take_new_entries(&self) -> CacheSnapshot<V> {
-        let drained: Vec<(u64, LayerKey)> = {
-            let mut journal = self.journal.lock().unwrap_or_else(|p| p.into_inner());
-            match journal.as_mut() {
-                Some(entries) => std::mem::take(entries),
-                None => Vec::new(),
-            }
-        };
-        // Compacting drain: on a capped cache a key can be evicted and
-        // recomputed between drains (journaled once per computation),
-        // and an evicted key has no value to export — dedupe, then peek.
-        let mut seen = HashSet::with_capacity(drained.len());
-        let mut entries = Vec::with_capacity(drained.len());
-        for (fp, key) in drained {
-            if !seen.insert((fp, key)) {
-                continue;
-            }
-            if let Some(value) = self.peek(fp, &key) {
-                entries.push((fp, key, value));
-            }
-        }
-        entries.sort_by_key(|(fp, key, _)| (*fp, key.fingerprint()));
-        CacheSnapshot { entries }
     }
 
     /// Returns the cached value without computing, if present and
@@ -727,48 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_exports_only_entries_computed_after_enabling() {
-        let cache: MemoCache<u64> = MemoCache::new();
-        cache.get_or_compute(1, key(1, 1), || 10); // pre-journal: not exported
-        cache.enable_journal();
-        cache.enable_journal(); // idempotent
-        cache.get_or_compute(1, key(2, 2), || 20);
-        cache.get_or_compute(1, key(2, 2), || panic!("hit, not journaled twice"));
-        cache.get_or_compute(2, key(3, 3), || 30);
-        let delta = cache.take_new_entries();
-        assert_eq!(delta.entries.len(), 2);
-        assert!(delta
-            .entries
-            .iter()
-            .any(|(fp, k, v)| (*fp, *k, *v) == (1, key(2, 2), 20)));
-        assert!(delta
-            .entries
-            .iter()
-            .any(|(fp, k, v)| (*fp, *k, *v) == (2, key(3, 3), 30)));
-        // Drained: the next delta is empty until new work is computed.
-        assert!(cache.take_new_entries().entries.is_empty());
-        cache.get_or_compute(3, key(4, 4), || 40);
-        assert_eq!(cache.take_new_entries().entries.len(), 1);
-    }
-
-    #[test]
-    fn absorbed_entries_are_not_journaled() {
-        let cache: MemoCache<u64> = MemoCache::new();
-        cache.enable_journal();
-        cache.absorb(CacheSnapshot {
-            entries: vec![(7, key(5, 5), 50)],
-        });
-        assert!(
-            cache.take_new_entries().entries.is_empty(),
-            "absorbed entries came from elsewhere and must not be re-exported"
-        );
-        // But a journal-off cache exports nothing either.
-        let off: MemoCache<u64> = MemoCache::new();
-        off.get_or_compute(1, key(1, 1), || 1);
-        assert!(off.take_new_entries().entries.is_empty());
-    }
-
-    #[test]
     fn entry_cap_is_never_exceeded() {
         let cache: MemoCache<u64> = MemoCache::new();
         cache.set_entry_cap(8);
@@ -873,33 +741,6 @@ mod tests {
             assert_eq!(*v, fp * 3);
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn journal_drain_compacts_recomputed_keys() {
-        // Cap 1 forces the same key to be evicted and recomputed; the
-        // drain must export it once, with its live value.
-        let cache: MemoCache<u64> = MemoCache::new();
-        cache.set_entry_cap(1);
-        cache.enable_journal();
-        for round in 0..3u64 {
-            cache.get_or_compute(1, key(1, 1), || 10);
-            cache.get_or_compute(2, key(2, 2), || 20 + round);
-        }
-        let delta = cache.take_new_entries();
-        let mut keys: Vec<u64> = delta.entries.iter().map(|(fp, ..)| *fp).collect();
-        keys.dedup();
-        assert_eq!(
-            keys.len(),
-            delta.entries.len(),
-            "drain must dedupe recomputed keys: {:?}",
-            delta.entries
-        );
-        // Only still-resident values export (evicted keys have nothing
-        // to ship); every exported value is the live one.
-        for (fp, k, v) in &delta.entries {
-            assert_eq!(cache.peek(*fp, k), Some(*v));
-        }
     }
 
     #[test]

@@ -53,8 +53,8 @@ use std::sync::{Condvar, Mutex};
 /// the bump required rather than additive, since a v4 reader of a
 /// serialized `MetricsSnapshot` rejects a v3 image that lacks the new
 /// required section. Version 5 slimmed accelerator-mode `evaluate_shard`
-/// results to `{reward, objectives}`: the per-network cost reports are
-/// no longer shipped (the coordinator rebuilds them from the cache
+/// results to `{reward, objectives}`: the per-network cost reports were
+/// no longer shipped (the coordinator rebuilt them from the cache
 /// deltas of its workers' replies, for the incumbent alone), and
 /// removing a required field is incompatible. Version 6 removed the
 /// sub-candidate joint mode of `evaluate_shard` and the overlap
@@ -62,12 +62,17 @@ use std::sync::{Condvar, Mutex};
 /// section. Version 7 removed the `search_step` command and its
 /// capability, and the `cache` parameter through which coordinators
 /// relayed one worker's cache deltas to the others: a worker now ships
-/// results only as `evaluate_shard` replies. A client and server
+/// results only as `evaluate_shard` replies. Version 8 removed the
+/// `cache_delta` of those replies and the `cache_gossip` capability:
+/// an accelerator-mode request carries the search's `incumbent` reward,
+/// and the worker ships the full per-network reports of exactly the
+/// candidates that could install a new incumbent, which a v8
+/// coordinator relies on. A client and server
 /// interoperate only on an exact match — the
 /// distributed driver ships serialized configs and search states whose
 /// layout follows the crate types, so "close enough" versions are
 /// exactly the undefined behaviour the handshake exists to rule out.
-pub const PROTOCOL_VERSION: u64 = 7;
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// A parsed service request: the echoed `id`, the command name, and the
 /// full request object (commands read their parameters out of it).

@@ -406,8 +406,8 @@ pub struct CoordinatorSnapshot {
     pub rejoins: u64,
     /// Workers dropped from the live plan (death or version ban).
     pub deaths: u64,
-    /// Cache delta entries of worker replies absorbed into the
-    /// coordinator's cache (entries it already held are not counted).
+    /// Always 0 since protocol v8, whose replies carry no cache delta;
+    /// kept because benchmark reports read it.
     pub deltas_gossiped: u64,
     /// Micro-shard requests issued by the dynamic scheduler.
     pub microshards: u64,
@@ -435,9 +435,10 @@ pub struct CoordinatorSnapshot {
     /// encoded as raw `f64` bits (`f64::to_bits`) so the snapshot stays
     /// `Eq`-comparable; decode with `f64::from_bits`.
     pub pareto_hypervolume_bits: u64,
-    /// New incumbents whose coordinator-side rebuild disagreed with the
-    /// worker's wire score (the rebuild was kept). Nonzero means a
-    /// worker's replies contradict the cache entries it gossiped.
+    /// New incumbents whose worker report was missing or disagreed
+    /// with the worker's wire score, so the coordinator evaluated the
+    /// candidate itself and kept that. Nonzero means a worker's replies
+    /// contradict themselves or break the protocol.
     pub incumbent_mismatches: u64,
 }
 
@@ -544,7 +545,7 @@ pub struct CoordinatorMetrics {
     pub rejoins: Counter,
     /// Workers dropped from the live plan.
     pub deaths: Counter,
-    /// Reply cache-delta entries absorbed into the coordinator's cache.
+    /// Always 0 since protocol v8 (replies carry no cache delta).
     pub deltas_gossiped: Counter,
     /// Micro-shard requests issued by the dynamic scheduler.
     pub microshards: Counter,
@@ -571,7 +572,8 @@ pub struct CoordinatorMetrics {
     /// `f64::from_bits`). Monotone per run — a stalling value alerts
     /// on a front that stopped improving.
     pub pareto_hypervolume_bits: Gauge,
-    /// New incumbents whose rebuilt score disagreed with the wire score.
+    /// New incumbents whose worker report was missing or disagreed
+    /// with the wire score.
     pub incumbent_mismatches: Counter,
 }
 

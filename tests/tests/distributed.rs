@@ -312,15 +312,16 @@ fn total_fleet_loss_falls_back_to_local_evaluation() {
     assert_eq!(coordinator.live_workers(), 0);
 }
 
-/// Cache gossip: after a sharded run, the coordinator's engine holds the
-/// fleet's mapping results (absorbed deltas), so a follow-up local run
-/// of the same scenario is answered entirely from cache — while each
-/// worker holds only what it computed itself, because nothing is
-/// relayed back to the fleet.
+/// Nothing is gossiped: an honest fleet ships a consistent report with
+/// every candidate that can install a new incumbent, so after a sharded
+/// run the coordinator's engine has computed nothing and holds nothing,
+/// each worker holds exactly what it computed itself, and the run is
+/// bit-identical to the single-process one.
 #[test]
 fn coordinator_absorbs_fleet_cache_deltas() {
     let (scenario, networks) = scenario_fixture();
     let cfg = search_cfg(59);
+    let local = run_local(&cfg, &networks);
 
     let addrs = vec![spawn_worker(1).to_string(), spawn_worker(1).to_string()];
     let mut coordinator =
@@ -332,10 +333,11 @@ fn coordinator_absorbs_fleet_cache_deltas() {
     let mut state = accel_search_init(&job.constraint, &cfg, &[]);
     while coordinator.step(&engine, &model, &networks, &mut state) {}
     let distributed = state.into_result().expect("search finds a design");
-    assert!(
-        engine.cache_stats().entries > 0,
-        "worker deltas must land in the coordinator cache"
-    );
+    assert_bit_identical(&distributed, &local, "two honest workers");
+
+    let own = engine.cache_stats();
+    assert_eq!(own.misses, 0, "the coordinator computed mapping searches");
+    assert_eq!(own.entries, 0, "the coordinator's cache filled: {own:?}");
     for addr in &addrs {
         let stats = naas_engine::RemoteWorker::new(addr.clone())
             .call("cache_stats", Vec::new())
@@ -348,20 +350,6 @@ fn coordinator_absorbs_fleet_cache_deltas() {
             "worker {addr} must hold only the entries it computed"
         );
     }
-
-    // Re-run the same search locally on the coordinator's engine: every
-    // mapping search was already solved somewhere in the fleet.
-    let misses_before = engine.cache_stats().misses;
-    let mut state = accel_search_init(&job.constraint, &cfg, &[]);
-    while naas::accel_search_step(&engine, &model, &networks, &mut state) {}
-    let replay = state.into_result().expect("search finds a design");
-    assert_eq!(replay.best.accelerator, distributed.best.accelerator);
-    assert_eq!(replay.history, distributed.history);
-    assert_eq!(
-        engine.cache_stats().misses,
-        misses_before,
-        "replay must be answered entirely from absorbed fleet results"
-    );
 }
 
 /// A worker that answers `fail_after` requests, then "crashes" (drops
@@ -631,17 +619,11 @@ fn worker_handshake_advertises_capabilities_end_to_end() {
     assert!(worker.has_capability("evaluate_shard"));
     assert!(worker.has_capability("metrics"));
     // The whole list, pinned: protocol 6 removed the sub-candidate
-    // joint mode and protocol 7 removed `search_step`, so nothing beyond
-    // these may be advertised.
+    // joint mode, protocol 7 `search_step` and protocol 8
+    // `cache_gossip`, so nothing beyond these may be advertised.
     assert_eq!(
         worker.capabilities(),
-        [
-            "evaluate_shard",
-            "joint",
-            "cache_gossip",
-            "metrics",
-            "objectives"
-        ]
+        ["evaluate_shard", "joint", "metrics", "objectives"]
     );
 
     // A client stating a wrong version is refused with an orderly error
@@ -759,42 +741,11 @@ fn poisoned_objectives_are_a_shard_error_not_a_panic() {
     );
 }
 
-/// Shard replies carry only `{reward, objectives}`; the coordinator
-/// rebuilds the incumbent's per-network reports from its own memo cache.
-/// With that cache capped at a single entry, nearly every gossiped
-/// mapping result is evicted before the rebuild needs it, so the rebuild
-/// runs its recompute fallback — and the run, per-network costs
-/// included, is still bit-identical to the single-process one.
-#[test]
-fn capped_coordinator_cache_rebuilds_incumbents_bit_identically() {
-    let (scenario, networks) = scenario_fixture();
-    let cfg = search_cfg(109);
-    let local = run_local(&cfg, &networks);
-
-    let addrs = vec![spawn_worker(1).to_string(), spawn_worker(1).to_string()];
-    let mut coordinator =
-        DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
-    let job = scenario.resolve().unwrap();
-    let engine = CoSearchEngine::new(cfg.threads);
-    engine.cache().set_entry_cap(1);
-    let model = CostModel::new();
-    let mut state = accel_search_init(&job.constraint, &cfg, &[]);
-    while coordinator.step(&engine, &model, &networks, &mut state) {}
-    let distributed = state.into_result().expect("search finds a design");
-
-    assert_bit_identical(&distributed, &local, "coordinator cache capped at 1 entry");
-    assert!(
-        engine.cache_stats().misses > 0,
-        "the capped mirror must have forced at least one recompute"
-    );
-}
-
-/// A worker gossips only the entries it computes for the coordinator it
-/// serves. A second coordinator on workers that a first search warmed
-/// therefore learns almost nothing from the fleet and rebuilds each new
-/// incumbent's reports itself, spread over its engine pool — and its
-/// run, per-network costs included, is still bit-identical to the
-/// single-process one.
+/// Workers that a first search warmed answer a second coordinator's
+/// shards from their caches, and still ship the report of every
+/// candidate that can become its incumbent. Neither coordinator computes
+/// anything, and both runs, per-network costs included, are
+/// bit-identical to the single-process one.
 #[test]
 fn fresh_coordinator_on_warm_workers_rebuilds_incumbents_bit_identically() {
     let (scenario, networks) = scenario_fixture();
@@ -813,17 +764,12 @@ fn fresh_coordinator_on_warm_workers_rebuilds_incumbents_bit_identically() {
         let result = state.into_result().expect("search finds a design");
         (result, engine.cache_stats())
     };
-    let (cold, cold_mirror) = search();
+    let (cold, cold_own) = search();
     assert_bit_identical(&cold, &local, "first coordinator, cold workers");
-    let (warm, warm_mirror) = search();
+    let (warm, warm_own) = search();
     assert_bit_identical(&warm, &local, "second coordinator, warm workers");
-    assert!(
-        warm_mirror.misses > cold_mirror.misses,
-        "the warm fleet gossips (almost) nothing, so the rebuild recomputes: \
-         {} misses warm, {} cold",
-        warm_mirror.misses,
-        cold_mirror.misses
-    );
+    assert_eq!(cold_own.misses, 0, "the first coordinator computed");
+    assert_eq!(warm_own.misses, 0, "the second coordinator computed");
 }
 
 /// An in-memory JSONL sink for the process-global event log.
@@ -840,11 +786,9 @@ impl Write for EventBuffer {
     }
 }
 
-/// A worker whose shard replies lie: it evaluates honestly, gossips the
-/// honest mapping results in `cache_delta`, but halves every reward it
-/// reports — so each reply contradicts the cache entries shipped with
-/// it, while staying well-formed enough to pass the reply parser.
-fn spawn_lying_worker() -> SocketAddr {
+/// A worker whose shard replies lie: it evaluates honestly, then passes
+/// every response through `lie` before sending it.
+fn spawn_lying_worker(lie: fn(&mut Value)) -> SocketAddr {
     let service = BatchEvalService::new(ServiceConfig {
         threads: 1,
         mapping: MappingSearchConfig::quick(7),
@@ -868,7 +812,7 @@ fn spawn_lying_worker() -> SocketAddr {
             while reader.read_line(&mut line).unwrap_or(0) > 0 {
                 let mut response = serde_json::parse_str(&service.respond(line.trim_end()))
                     .expect("the service answers JSON");
-                halve_rewards(&mut response);
+                lie(&mut response);
                 let reply = serde_json::value_to_string(&response);
                 if writeln!(writer, "{reply}").is_err() {
                     break;
@@ -888,7 +832,9 @@ fn field_mut<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Value> {
     }
 }
 
-/// Halves `result.results[*].reward` of an `evaluate_shard` response.
+/// Halves `result.results[*].reward` of an `evaluate_shard` response, so
+/// each reply contradicts the per-network reports shipped with it while
+/// staying well-formed enough to pass the reply parser.
 fn halve_rewards(response: &mut Value) {
     let results = field_mut(response, "result").and_then(|r| field_mut(r, "results"));
     let Some(Value::Array(results)) = results else {
@@ -901,12 +847,13 @@ fn halve_rewards(response: &mut Value) {
     }
 }
 
-/// A worker whose slim reward contradicts the cache entries it gossiped
-/// must never panic the coordinator. Every lie that would install a new
-/// incumbent is caught by the rebuild: the coordinator keeps its own
-/// rebuild for the slot, warns (`incumbent_mismatch`) and counts it — so
-/// the incumbent on record always carries honest, self-consistent
-/// costs, never the halved wire reward.
+/// A worker whose reward contradicts the reports it ships must never
+/// panic the coordinator. Every lie that would install a new incumbent
+/// is caught: the reports are missing or do not reproduce the wire
+/// score, so the coordinator evaluates the candidate itself, keeps that
+/// for the slot, warns (`incumbent_mismatch`) and counts it — so the
+/// incumbent on record always carries honest, self-consistent costs,
+/// never the halved wire reward.
 #[test]
 fn lying_worker_cannot_plant_an_incumbent() {
     let (scenario, networks) = scenario_fixture();
@@ -921,7 +868,7 @@ fn lying_worker_cannot_plant_an_incumbent() {
     };
     let before = mismatches();
 
-    let addrs = vec![spawn_lying_worker().to_string()];
+    let addrs = vec![spawn_lying_worker(halve_rewards).to_string()];
     let mut coordinator =
         DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
     let distributed = run_distributed(&cfg, &networks, &mut coordinator);
@@ -956,6 +903,59 @@ fn lying_worker_cannot_plant_an_incumbent() {
         1,
         "a well-formed reply is not a protocol violation"
     );
+}
+
+/// Sets every `energy_pj` anywhere in a response to 0.0: the shipped
+/// per-network reports turn physically impossible, while every wire
+/// score stays valid.
+fn zero_energies(value: &mut Value) {
+    match value {
+        Value::Object(fields) => {
+            for (key, field) in fields {
+                if key == "energy_pj" {
+                    *field = Value::F64(0.0);
+                } else {
+                    zero_energies(field);
+                }
+            }
+        }
+        Value::Array(items) => items.iter_mut().for_each(zero_energies),
+        _ => {}
+    }
+}
+
+/// Zero-energy reports from a worker are a shard error, never a panic
+/// in the coordinator's reward aggregation: the reply is rejected where
+/// it is parsed, the worker is marked dead, its shard is re-issued to
+/// the honest worker, and the run stays bit-identical.
+#[test]
+fn zero_energy_worker_is_a_shard_error_not_a_panic() {
+    let (scenario, networks) = scenario_fixture();
+    let cfg = search_cfg(113);
+    let local = run_local(&cfg, &networks);
+
+    let addrs = vec![
+        spawn_lying_worker(zero_energies).to_string(),
+        spawn_worker(1).to_string(),
+    ];
+    let mut coordinator =
+        DistributedCoordinator::connect(&addrs, &scenario).expect("fleet reachable");
+    let job = scenario.resolve().unwrap();
+    let engine = CoSearchEngine::new(cfg.threads);
+    let model = CostModel::new();
+    let mut state = accel_search_init(&job.constraint, &cfg, &[]);
+    // Generation 0 has no incumbent, so the first feasible candidate of
+    // every shard ships its reports: the poisoned worker's first such
+    // reply kills it.
+    assert!(coordinator.step(&engine, &model, &networks, &mut state));
+    assert_eq!(
+        coordinator.live_workers(),
+        1,
+        "a worker shipping zero-energy reports must be marked dead"
+    );
+    while coordinator.step(&engine, &model, &networks, &mut state) {}
+    let distributed = state.into_result().expect("search finds a design");
+    assert_bit_identical(&distributed, &local, "worker shipping zero energies");
 }
 
 /// Runs the search to completion and returns the final state — archive
@@ -1175,6 +1175,15 @@ fn v5_worker_is_refused_before_any_shard_is_exchanged() {
 #[test]
 fn v6_worker_is_refused_before_any_shard_is_exchanged() {
     assert_refused_before_any_shard(6);
+}
+
+/// The 7→8 bump: a v7 worker ships no per-network reports and gossips
+/// `cache_delta`s instead, so a v8 coordinator would evaluate every
+/// incumbent itself and report each as a mismatch. It must be refused
+/// before any shard.
+#[test]
+fn v7_worker_is_refused_before_any_shard_is_exchanged() {
+    assert_refused_before_any_shard(7);
 }
 
 /// Scheduler-flag validation is a parse-time contract: the exact

@@ -384,6 +384,86 @@ fn scenario_objects_are_accepted_inline() {
     assert_eq!(by_object, by_name);
 }
 
+/// The accelerator-mode `evaluate_shard` reply contract: no
+/// `cache_delta`, and a candidate ships whole (`per_network` included)
+/// exactly where its reward is strictly below both the request's
+/// `incumbent` and every earlier feasible reward of the shard. Every
+/// shipped report reproduces its candidate's score through
+/// `CandidateEval::from_reports`. A non-numeric `incumbent` is a bad
+/// request.
+#[test]
+fn evaluate_shard_ships_reports_exactly_where_an_incumbent_can_change() {
+    let s = service(1);
+    let designs = baselines::all();
+    let candidates = serde_json::to_string(&designs).unwrap();
+    let shard = |incumbent: &str| {
+        s.respond(&format!(
+            r#"{{"id":1,"cmd":"evaluate_shard","scenario":"cifar-eyeriss","candidates":{candidates},"incumbent":{incumbent}}}"#
+        ))
+    };
+    let rewards: Vec<Option<f64>> = result_of(&shard("null"))
+        .get("results")
+        .and_then(Value::as_array)
+        .expect("a results array")
+        .iter()
+        .map(|r| r.get("reward").and_then(Value::as_f64))
+        .collect();
+    let mut feasible: Vec<f64> = rewards.iter().flatten().copied().collect();
+    feasible.sort_by(f64::total_cmp);
+    assert!(
+        feasible.len() >= 2,
+        "need two feasible baselines: {rewards:?}"
+    );
+
+    let between = (feasible[0] + feasible[feasible.len() - 1]) / 2.0;
+    for incumbent in [None, Some(feasible[0] / 2.0), Some(between)] {
+        let mut best = incumbent.unwrap_or(f64::INFINITY);
+        let expected: Vec<bool> = rewards
+            .iter()
+            .map(|reward| match reward {
+                Some(r) if *r < best => {
+                    best = *r;
+                    true
+                }
+                _ => false,
+            })
+            .collect();
+        let param = incumbent.map_or("null".to_string(), |r| format!("{r:e}"));
+        let reply = result_of(&shard(&param));
+        assert!(reply.get("cache_delta").is_none(), "{reply:?}");
+        let results = reply.get("results").and_then(Value::as_array).unwrap();
+        let shipped: Vec<bool> = results
+            .iter()
+            .map(|r| r.get("per_network").is_some())
+            .collect();
+        assert_eq!(shipped, expected, "incumbent {param}, rewards {rewards:?}");
+        for (result, design) in results.iter().zip(&designs) {
+            if result.get("per_network").is_none() {
+                continue;
+            }
+            let eval: naas::CandidateEval = serde_json::from_value(result).unwrap();
+            let again = naas::CandidateEval::from_reports(
+                eval.per_network.clone(),
+                design,
+                naas::RewardKind::Geomean,
+            );
+            assert_eq!(
+                again,
+                eval,
+                "{}: reports disagree with the score",
+                design.name()
+            );
+        }
+    }
+    let v = parse(&shard(r#""low""#));
+    assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
+    let error = v.get("error").and_then(Value::as_str).unwrap();
+    assert!(
+        error.contains("bad request") && error.contains("incumbent"),
+        "{error}"
+    );
+}
+
 /// The no-valid-design condition surfaces as an error response (the
 /// service face of the `NoValidDesign` bugfix): a design that cannot map
 /// the suite is an answer, not a panic.
