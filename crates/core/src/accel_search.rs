@@ -275,6 +275,13 @@ impl Optimizer for SearchOptimizer {
             SearchOptimizer::Random(rs) => rs.dim(),
         }
     }
+
+    fn check_state(&self) -> Result<(), String> {
+        match self {
+            SearchOptimizer::Evolution(es) => es.check_state(),
+            SearchOptimizer::Random(rs) => rs.check_state(),
+        }
+    }
 }
 
 /// The complete, serializable state of an accelerator search between
@@ -310,6 +317,29 @@ pub struct AccelSearchState {
 }
 
 impl AccelSearchState {
+    /// Checks a state read from a checkpoint before it steps: the
+    /// optimizer's own state ([`Optimizer::check_state`]) and its
+    /// dimension against the hardware encoding of the recorded envelope.
+    /// Every state [`accel_search_init`] and the step functions produce
+    /// passes.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending optimizer field.
+    pub fn check_loaded(&self) -> Result<(), String> {
+        self.optimizer
+            .check_state()
+            .map_err(|e| format!("optimizer: {e}"))?;
+        let knobs = HardwareEncoder::new(self.constraint.clone(), self.config.scheme).dim();
+        if self.optimizer.dim() != knobs {
+            return Err(format!(
+                "optimizer: `dim` is {} but the design space has {knobs} knobs",
+                self.optimizer.dim()
+            ));
+        }
+        Ok(())
+    }
+
     /// `true` once every configured generation has run.
     pub fn is_done(&self) -> bool {
         self.iteration >= self.config.iterations

@@ -557,7 +557,7 @@ fn warm_load_cache<'a>(engine: &CoSearchEngine, args: &'a Args) -> Option<&'a st
     }
     let path = args.get("cache-file").map(std::path::Path::new)?;
     if path.exists() {
-        match engine.cache().load_from(path) {
+        match engine.load_cache_file(path) {
             Ok(entries) => println!(
                 "warm-loaded {entries} cache entries from {}",
                 path.display()
@@ -596,6 +596,10 @@ fn cmd_resume(args: &Args) {
         .unwrap_or_else(|| usage());
     let snapshot: SearchCheckpoint = checkpoint::load(std::path::Path::new(path))
         .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}")));
+    snapshot
+        .state
+        .check_loaded()
+        .unwrap_or_else(|e| fail(format!("cannot resume {path}: {e}")));
     let job = snapshot.scenario.resolve().unwrap_or_else(|e| fail(e));
     // The objective policy is part of the recorded search config: a
     // resumed run must continue it, or the front would not reproduce

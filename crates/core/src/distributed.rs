@@ -1737,7 +1737,9 @@ fn validate_wire_eval(reward: f64, objectives: &ObjectiveVector) -> Result<(), S
 /// Validates per-network cost reports that crossed the wire, so that
 /// [`CandidateEval::from_reports`] cannot panic on them: one report per
 /// benchmark network (`networks`), each with at least one layer, every
-/// layer energy finite and positive, cycle counts that sum within `u64`
+/// layer's energy and EDP finite and positive
+/// ([`naas_cost::LayerCost::check_energy`], the rule `--cache-file`
+/// entries meet too), cycle counts that sum within `u64`
 /// per network and over the suite, and a finite positive EDP per network
 /// (which rules out all-zero cycles and energy sums that overflow).
 fn validate_wire_reports(per_network: &[NetworkCost], networks: usize) -> Result<(), String> {
@@ -1754,12 +1756,9 @@ fn validate_wire_reports(per_network: &[NetworkCost], networks: usize) -> Result
         }
         let mut cycles = 0u64;
         for layer in &report.layers {
-            if !layer.energy_pj.is_finite() || layer.energy_pj <= 0.0 {
-                return Err(format!(
-                    "`per_network[{n}]` layer energy_pj must be finite positive, got {}",
-                    layer.energy_pj
-                ));
-            }
+            layer
+                .check_energy()
+                .map_err(|e| format!("`per_network[{n}]` layer {e}"))?;
             cycles = cycles
                 .checked_add(layer.cycles)
                 .ok_or_else(|| format!("`per_network[{n}]` layer cycles overflow u64"))?;

@@ -16,7 +16,9 @@
 //! cold evaluation would have computed.
 
 use crate::mapping_search::MappingSearchResult;
-use naas_engine::{CacheStats, MemoCache};
+use naas_engine::checkpoint::{self, CheckpointError};
+use naas_engine::{CacheSnapshot, CacheStats, MemoCache};
+use std::path::Path;
 
 /// The memo table shared by every search on one engine: design
 /// fingerprint × layer shape → mapping-search outcome (`None` marks an
@@ -58,6 +60,29 @@ impl CoSearchEngine {
     /// Cache occupancy/effectiveness counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// Warm-loads a `--cache-file` into the memo cache, after checking
+    /// every entry with [`MappingSearchResult::check_cached`]: one bad
+    /// entry refuses the whole file, and a file that passes loads
+    /// unchanged. Returns how many entries were absorbed.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] if the file cannot be read,
+    /// [`CheckpointError::Format`] if it does not decode as a cache
+    /// snapshot or an entry fails its check (the message names the
+    /// entry's index).
+    pub fn load_cache_file(&self, path: &Path) -> Result<usize, CheckpointError> {
+        let snapshot: CacheSnapshot<Option<MappingSearchResult>> = checkpoint::load(path)?;
+        for (index, (_, key, value)) in snapshot.entries.iter().enumerate() {
+            if let Some(result) = value {
+                result.check_cached(key).map_err(|e| {
+                    CheckpointError::Format(serde::Error::msg(format!("cache entry {index}: {e}")))
+                })?;
+            }
+        }
+        Ok(self.cache.absorb(snapshot))
     }
 }
 

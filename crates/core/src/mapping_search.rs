@@ -83,6 +83,49 @@ pub struct MappingSearchResult {
     pub history: Vec<f64>,
 }
 
+impl MappingSearchResult {
+    /// Checks a result read from a `--cache-file` against the layer shape
+    /// it is filed under: energy and EDP finite and positive (the rule
+    /// shard replies meet, [`LayerCost::check_energy`]),
+    /// `cycles ≥ compute_cycles ≥ 1`, the shape's MAC count, and a
+    /// well-formed mapping (at least one level, permutation loop orders,
+    /// no zero trip count). Every result a search produces passes.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field.
+    pub fn check_cached(&self, key: &LayerKey) -> Result<(), String> {
+        let cost = &self.cost;
+        cost.check_energy()?;
+        if cost.compute_cycles == 0 || cost.cycles < cost.compute_cycles {
+            return Err(format!(
+                "cycles {} and compute_cycles {} break cycles ≥ compute_cycles ≥ 1",
+                cost.cycles, cost.compute_cycles
+            ));
+        }
+        let layer = key
+            .to_layer()
+            .map_err(|e| format!("invalid layer shape: {e}"))?;
+        let macs = layer
+            .extents()
+            .iter()
+            .try_fold(layer.batch(), |acc, (_, e)| acc.checked_mul(e));
+        if macs != Some(cost.macs) {
+            return Err(format!(
+                "macs {} is not the layer shape's {}",
+                cost.macs,
+                macs.map_or("(overflow)".to_string(), |m| m.to_string())
+            ));
+        }
+        if self.mapping.levels().is_empty() {
+            return Err("mapping has no levels".to_string());
+        }
+        self.mapping
+            .validate_loops()
+            .map_err(|e| format!("mapping: {e}"))
+    }
+}
+
 /// Searches the mapping space of one layer on one design, returning the
 /// lowest-EDP mapping found.
 ///

@@ -79,7 +79,7 @@ pub struct EvalPipeline {
     mappings: Vec<Mapping>,
     /// Batch evaluation results, one per proposal.
     results: Vec<Result<LayerCost, CostError>>,
-    /// The cost model's tile/loop scratch.
+    /// The cost model's scratch handle (see [`EvalScratch`]).
     scratch: EvalScratch,
     /// Scored-generation pool passed to `Optimizer::tell`; entries are
     /// overwritten in place each generation.

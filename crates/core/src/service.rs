@@ -285,7 +285,7 @@ impl BatchEvalService {
             .set_entry_cap(service.config.cache_cap);
         if let Some(path) = &service.config.cache_file {
             if path.exists() {
-                service.engine.cache().load_from(path)?;
+                service.engine.load_cache_file(path)?;
             }
         }
         Ok(service)

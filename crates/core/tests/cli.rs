@@ -233,3 +233,231 @@ fn retired_static_overlapped_plan_resumes_on_the_default() {
     assert!(shards.get("overlap").is_none(), "{shards:?}");
     let _ = std::fs::remove_file(path);
 }
+
+/// `naas-search` with `args` must exit 1 (a clean refusal, not a panic's
+/// 101) with every string of `expect` on stderr.
+fn assert_refused(args: &[&str], expect: &[&str]) {
+    let output = naas_search_output(args);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+    for want in expect {
+        assert!(
+            stderr.contains(want),
+            "{args:?} should name {want}: {stderr}"
+        );
+    }
+}
+
+/// A scenario file with an empty network list is refused at resolve,
+/// before any search starts.
+#[test]
+fn empty_network_list_is_refused() {
+    let mut scenario = naas_engine::scenario::find("cifar-eyeriss").expect("registered");
+    scenario.networks.clear();
+    let path = temp_checkpoint("empty-networks");
+    std::fs::write(&path, serde_json::to_string(&scenario).unwrap()).unwrap();
+    assert_refused(
+        &["run", "--file", &path, "--preset", "smoke"],
+        &["no benchmark network"],
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+type CacheFile = naas_engine::CacheSnapshot<Option<naas::MappingSearchResult>>;
+
+/// The cache a smoke run of `cifar-eyeriss` persists, run once per test
+/// process (its file is removed once read).
+fn smoke_cache() -> &'static CacheFile {
+    static CACHE: std::sync::OnceLock<CacheFile> = std::sync::OnceLock::new();
+    CACHE.get_or_init(|| {
+        let path = temp_checkpoint("smoke-cache");
+        let _ = std::fs::remove_file(&path);
+        run_search(&["--cache-file", &path]);
+        let cache = naas_engine::checkpoint::load(std::path::Path::new(&path)).unwrap();
+        let _ = std::fs::remove_file(&path);
+        cache
+    })
+}
+
+/// Writes the smoke cache file with `poison` applied to one mapped
+/// entry, and asserts a rerun on it is refused naming that entry and
+/// `field`.
+fn assert_cache_poison_refused(
+    label: &str,
+    field: &str,
+    poison: impl Fn(&mut naas::MappingSearchResult),
+) {
+    let mut cache = smoke_cache().clone();
+    let index = cache
+        .entries
+        .iter()
+        .rposition(|(_, _, result)| result.is_some())
+        .expect("the smoke run maps some layer");
+    poison(cache.entries[index].2.as_mut().unwrap());
+    let path = temp_checkpoint(&format!("poisoned-cache-{label}"));
+    naas_engine::checkpoint::save(std::path::Path::new(&path), &cache).unwrap();
+    assert_refused(
+        &[
+            "run",
+            "cifar-eyeriss",
+            "--preset",
+            "smoke",
+            "--cache-file",
+            &path,
+        ],
+        &[&format!("cache entry {index}: "), field],
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An untouched cache file passes validation, loads every entry and
+/// reruns to the cold run's result.
+#[test]
+fn valid_cache_file_loads_unchanged() {
+    let cache = smoke_cache();
+    let path = temp_checkpoint("valid-cache");
+    naas_engine::checkpoint::save(std::path::Path::new(&path), cache).unwrap();
+    let cold = result_block(&run_search(&[]));
+    let warm = run_search(&["--cache-file", &path]);
+    assert!(
+        warm.contains(&format!(
+            "warm-loaded {} cache entries",
+            cache.entries.len()
+        )),
+        "{warm}"
+    );
+    assert_eq!(result_block(&warm), cold);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn cache_entry_with_zero_energy_is_refused() {
+    assert_cache_poison_refused("zero-energy", "energy_pj", |r| r.cost.energy_pj = 0.0);
+}
+
+#[test]
+fn cache_entry_with_negative_energy_is_refused() {
+    assert_cache_poison_refused("negative-energy", "energy_pj", |r| r.cost.energy_pj = -5.0);
+}
+
+#[test]
+fn cache_entry_with_infinite_edp_is_refused() {
+    assert_cache_poison_refused("infinite-edp", "EDP", |r| r.cost.energy_pj = 1e308);
+}
+
+#[test]
+fn cache_entry_with_cycles_below_compute_cycles_is_refused() {
+    assert_cache_poison_refused("short-cycles", "compute_cycles", |r| {
+        r.cost.cycles = r.cost.compute_cycles - 1
+    });
+}
+
+#[test]
+fn cache_entry_with_zero_compute_cycles_is_refused() {
+    assert_cache_poison_refused("zero-compute", "compute_cycles", |r| {
+        r.cost.compute_cycles = 0
+    });
+}
+
+#[test]
+fn cache_entry_with_wrong_macs_is_refused() {
+    assert_cache_poison_refused("wrong-macs", "macs", |r| r.cost.macs += 1);
+}
+
+#[test]
+fn cache_entry_with_levelless_mapping_is_refused() {
+    assert_cache_poison_refused("no-levels", "no levels", |r| {
+        r.mapping = naas_mapping::Mapping::new(vec![], *r.mapping.pe_order())
+    });
+}
+
+#[test]
+fn cache_entry_with_non_permutation_order_is_refused() {
+    assert_cache_poison_refused("bad-order", "not a permutation", |r| {
+        let mut pe_order = *r.mapping.pe_order();
+        pe_order[0] = pe_order[1];
+        r.mapping = naas_mapping::Mapping::new(r.mapping.levels().to_vec(), pe_order);
+    });
+}
+
+#[test]
+fn cache_entry_with_zero_trip_count_is_refused() {
+    assert_cache_poison_refused("zero-trips", "zero trip count", |r| {
+        let mut levels = r.mapping.levels().to_vec();
+        levels[0].trips[naas_ir::Dim::K] = 0;
+        r.mapping = naas_mapping::Mapping::new(levels, *r.mapping.pe_order());
+    });
+}
+
+/// The final checkpoint of a smoke run with `--every 1`, run once per
+/// test process (its file is removed once read).
+fn smoke_checkpoint() -> &'static str {
+    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TEXT.get_or_init(|| {
+        let path = temp_checkpoint("smoke-state");
+        run_search(&["--checkpoint", &path, "--every", "1"]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        text
+    })
+}
+
+/// The member `key` of a JSON object.
+fn member<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    match value {
+        Value::Object(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no member `{key}`")),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// Rewinds the smoke checkpoint to generation 1, applies `poison` to its
+/// CEM-ES state, and asserts `resume` is refused naming `field`.
+fn assert_optimizer_poison_refused(label: &str, field: &str, poison: impl Fn(&mut Value)) {
+    let mut checkpoint = serde_json::parse_str(smoke_checkpoint()).unwrap();
+    let state = member(&mut checkpoint, "state");
+    *member(state, "iteration") = Value::U64(1);
+    poison(member(member(state, "optimizer"), "Evolution"));
+    let path = temp_checkpoint(&format!("poisoned-state-{label}"));
+    std::fs::write(&path, serde_json::value_to_string(&checkpoint)).unwrap();
+    assert_refused(&["resume", &path], &["optimizer", field]);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn resume_refuses_a_truncated_mean() {
+    assert_optimizer_poison_refused("short-mean", "`mean`", |es| {
+        if let Value::Array(mean) = member(es, "mean") {
+            mean.truncate(5);
+        }
+    });
+}
+
+#[test]
+fn resume_refuses_a_dim_its_vectors_do_not_have() {
+    assert_optimizer_poison_refused("big-dim", "`dim`", |es| *member(es, "dim") = Value::U64(40));
+}
+
+#[test]
+fn resume_refuses_negative_variances() {
+    assert_optimizer_poison_refused("negative-var", "`var[0]`", |es| {
+        if let Value::Array(var) = member(es, "var") {
+            var.iter_mut().for_each(|v| *v = Value::F64(-1.0));
+        }
+    });
+}
+
+#[test]
+fn resume_refuses_a_dim_the_design_space_does_not_have() {
+    assert_optimizer_poison_refused("wrong-space", "design space", |es| {
+        *member(es, "dim") = Value::U64(14);
+        for key in ["mean", "var"] {
+            if let Value::Array(values) = member(es, key) {
+                values.push(Value::F64(0.5));
+            }
+        }
+    });
+}

@@ -54,8 +54,7 @@ pub fn check(
     mapping: &Mapping,
     widths: &DataWidths,
 ) -> Result<(), CapacityViolation> {
-    let pe_tile = mapping.pe_tile(layer, accel.connectivity());
-    let l2_tile = mapping.l2_tile(layer);
+    let (l2_tile, pe_tile) = mapping.l2_and_pe_tiles(layer, accel.connectivity());
     check_tiles(layer, accel, &pe_tile, &l2_tile, widths)
 }
 

@@ -108,6 +108,28 @@ impl LayerCost {
     pub fn edp(&self) -> f64 {
         self.cycles as f64 * self.energy_pj / 1000.0
     }
+
+    /// Checks that energy and EDP are finite and positive — what a report
+    /// read from a file or received over the wire must satisfy before a
+    /// geometric-mean reward aggregates it. Every report this model
+    /// produces does.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending quantity and its value.
+    pub fn check_energy(&self) -> Result<(), String> {
+        if !(self.energy_pj.is_finite() && self.energy_pj > 0.0) {
+            return Err(format!(
+                "energy_pj must be finite and positive, got {}",
+                self.energy_pj
+            ));
+        }
+        let edp = self.edp();
+        if !(edp.is_finite() && edp > 0.0) {
+            return Err(format!("EDP must be finite and positive, got {edp}"));
+        }
+        Ok(())
+    }
 }
 
 /// Aggregate cost of a whole network (sum over layers; each layer may use
@@ -189,10 +211,9 @@ impl CostModel {
 
     /// Evaluates one layer under one mapping.
     ///
-    /// This is a thin wrapper over the scratch-backed path
-    /// ([`CostModel::evaluate_with`]) with a stack-local scratch, so the
-    /// scalar and batched entry points share one implementation and give
-    /// bit-identical results.
+    /// This is a thin wrapper over [`CostModel::evaluate_with`] with a
+    /// fresh scratch, so the scalar and batched entry points share one
+    /// implementation and give bit-identical results.
     ///
     /// # Errors
     ///
@@ -208,38 +229,29 @@ impl CostModel {
         self.evaluate_with(&mut EvalScratch::new(), layer, accel, mapping)
     }
 
-    /// [`CostModel::evaluate`] backed by caller-owned scratch buffers —
-    /// the hot-loop entry point. One [`EvalScratch`] amortizes the
-    /// intermediate allocations over every evaluation that shares it.
+    /// [`CostModel::evaluate`] with a caller-owned [`EvalScratch`] — the
+    /// hot-loop entry point, which batched callers use with one scratch
+    /// per worker thread.
     ///
     /// # Errors
     ///
     /// Same conditions as [`CostModel::evaluate`].
     pub fn evaluate_with(
         &self,
-        scratch: &mut EvalScratch,
+        _scratch: &mut EvalScratch,
         layer: &ConvSpec,
         accel: &Accelerator,
         mapping: &Mapping,
     ) -> Result<LayerCost, CostError> {
         mapping.validate(accel)?;
         let conn = accel.connectivity();
-        // One tile computation shared by the capacity check, the traffic
-        // analysis and the compute roofline (the scalar path used to walk
-        // the hierarchy three times per call).
-        let pe_tile = mapping.pe_tile(layer, conn);
-        let l2_tile = mapping.l2_tile(layer);
+        // One tile walk shared by the capacity check, the traffic
+        // analysis and the compute roofline.
+        let (l2_tile, pe_tile) = mapping.l2_and_pe_tiles(layer, conn);
         capacity::check_tiles(layer, accel, &pe_tile, &l2_tile, &self.widths)?;
 
-        let traffic = traffic::analyze_tiles(
-            scratch,
-            layer,
-            conn,
-            mapping,
-            &l2_tile,
-            &pe_tile,
-            &self.widths,
-        );
+        let traffic =
+            traffic::analyze_tiles(layer, conn, mapping, &l2_tile, &pe_tile, &self.widths);
 
         // Compute roofline: every PE serially issues its tile, for every
         // temporal iteration of every level (ceil losses included).

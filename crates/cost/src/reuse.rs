@@ -32,20 +32,13 @@ pub struct Loop {
 /// Flattens a level's `(order, trips)` into the loop list, skipping
 /// single-trip loops.
 pub fn level_loops(order: &[Dim; 6], trips: &DimVec<u64>) -> Vec<Loop> {
-    let mut out = Vec::new();
-    level_loops_into(order, trips, &mut out);
-    out
-}
-
-/// [`level_loops`] appending into a caller-owned buffer — levels 1..k of
-/// a mapping concatenate into one nest, so this *appends* (callers clear
-/// between candidates; the scratch-backed traffic analysis reuses one
-/// buffer across a whole population).
-pub fn level_loops_into(order: &[Dim; 6], trips: &DimVec<u64>, out: &mut Vec<Loop>) {
-    out.extend(order.iter().filter_map(|&dim| {
-        let t = trips[dim];
-        (t > 1).then_some(Loop { dim, trips: t })
-    }));
+    order
+        .iter()
+        .filter_map(|&dim| {
+            let t = trips[dim];
+            (t > 1).then_some(Loop { dim, trips: t })
+        })
+        .collect()
 }
 
 /// The fetch multiplier for a tensor with the given relevance predicate

@@ -1,35 +1,25 @@
-//! Reusable working memory for the evaluation hot path.
+//! The scratch handle of the batched evaluation entry points.
 //!
-//! One `CostModel::evaluate` call needs three short-lived buffers: the
-//! per-level tile extents and the flattened outer/inner loop nests of the
-//! traffic analysis. At NAAS scale — millions of evaluations per search —
-//! allocating them per call dominates the model's own arithmetic, so the
-//! batched pipeline threads one [`EvalScratch`] through every evaluation
-//! on a thread and the buffers settle at their high-water size after the
-//! first few candidates.
+//! [`crate::CostModel::evaluate_with`] and
+//! [`crate::CostModel::evaluate_batch`] take an [`EvalScratch`] so that
+//! batched callers keep one per worker thread. An evaluation needs no heap
+//! memory of its own: the capacity check and the traffic analysis share
+//! two stack tiles from one walk of the hierarchy, and the traffic
+//! analysis gathers each loop nest's reuse counts in one pass over the
+//! mapping's levels without flattening them. So the scratch holds
+//! nothing; the type keeps the signatures that batched callers, the
+//! benches and the `perfbench` package call.
 
-use crate::reuse::Loop;
-use naas_ir::DimVec;
-
-/// Scratch buffers reused across [`crate::CostModel`] evaluations.
+/// Per-thread working memory for [`crate::CostModel`] evaluations
+/// (currently empty; see the module docs).
 ///
-/// Construction is free (no heap allocation until first use), so the
-/// scalar entry points simply build one on the stack per call — identical
-/// behaviour to the pre-scratch code — while batch drivers keep one per
-/// worker thread and amortize the allocations away.
+/// Construction is free, so the scalar entry points build one per call
+/// and batched callers keep one per worker thread.
 #[derive(Debug, Default)]
-pub struct EvalScratch {
-    /// Flattened temporal loops of array level 0 (DRAM boundary).
-    pub(crate) outer_loops: Vec<Loop>,
-    /// Flattened temporal loops of array levels 1..k (L2 boundary).
-    pub(crate) inner_loops: Vec<Loop>,
-    /// Per-level tile extents from `Mapping::tiles_per_level_into`.
-    pub(crate) tiles: Vec<DimVec<u64>>,
-}
+pub struct EvalScratch {}
 
 impl EvalScratch {
-    /// Creates an empty scratch; buffers grow on first use and are then
-    /// recycled by every subsequent evaluation that shares it.
+    /// Creates a scratch.
     pub fn new() -> Self {
         EvalScratch::default()
     }

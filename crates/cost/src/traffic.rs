@@ -15,13 +15,11 @@
 //! * **L1 ↔ MAC** — register-level reuse governed by the PE loop order
 //!   (the innermost spinning loop pins one operand in a register).
 
-use crate::reuse::{distinct_tiles, fetch_multiplier, level_loops_into};
-use crate::scratch::EvalScratch;
 use crate::tensor::{Tensor, TENSORS};
 use crate::widths::DataWidths;
 use naas_accel::Connectivity;
-use naas_ir::{ConvSpec, Dim, DimVec};
-use naas_mapping::Mapping;
+use naas_ir::{ConvSpec, Dim, DimVec, DIMS};
+use naas_mapping::{LevelSpec, Mapping};
 use serde::{Deserialize, Serialize};
 
 /// Traffic of one tensor through the hierarchy, in bytes.
@@ -88,33 +86,14 @@ pub fn analyze(
     mapping: &Mapping,
     widths: &DataWidths,
 ) -> TrafficBreakdown {
-    analyze_with(&mut EvalScratch::new(), layer, conn, mapping, widths)
+    let (l2_tile, pe_tile) = mapping.l2_and_pe_tiles(layer, conn);
+    analyze_tiles(layer, conn, mapping, &l2_tile, &pe_tile, widths)
 }
 
-/// [`analyze`] backed by caller-owned scratch buffers: the tile walk and
-/// the flattened loop nests land in [`EvalScratch`] instead of fresh
-/// allocations, so a population of candidates reuses one set of buffers.
-/// Results are identical to [`analyze`] — the scratch only changes where
-/// the intermediates live.
-pub fn analyze_with(
-    scratch: &mut EvalScratch,
-    layer: &ConvSpec,
-    conn: &Connectivity,
-    mapping: &Mapping,
-    widths: &DataWidths,
-) -> TrafficBreakdown {
-    mapping.tiles_per_level_into(layer, conn, &mut scratch.tiles);
-    let l2_tile = scratch.tiles[0];
-    let pe_tile = mapping.pe_tile(layer, conn);
-    analyze_tiles(scratch, layer, conn, mapping, &l2_tile, &pe_tile, widths)
-}
-
-/// The traffic analysis against precomputed tiles; loop nests still land
-/// in the scratch buffers. The evaluation hot path computes
-/// `l2_tile`/`pe_tile` once per candidate and shares them between the
-/// capacity check, this analysis and the compute roofline.
+/// The traffic analysis against precomputed tiles. The evaluation hot
+/// path computes `l2_tile`/`pe_tile` once per candidate and shares them
+/// between the capacity check, this analysis and the compute roofline.
 pub fn analyze_tiles(
-    scratch: &mut EvalScratch,
     layer: &ConvSpec,
     conn: &Connectivity,
     mapping: &Mapping,
@@ -123,35 +102,43 @@ pub fn analyze_tiles(
     widths: &DataWidths,
 ) -> TrafficBreakdown {
     let batch = layer.batch() as f64;
-    let l2_tile = *l2_tile;
-    let pe_tile = *pe_tile;
+    let relevant = TENSORS.map(|t| relevance_mask(t, layer));
 
-    // Outer (DRAM-level) loops: array level 0.
-    scratch.outer_loops.clear();
-    level_loops_into(
-        &mapping.levels()[0].order,
-        &mapping.levels()[0].trips,
-        &mut scratch.outer_loops,
-    );
-    // Inner (L2-level) loops: array levels 1..k concatenated outer→inner.
-    scratch.inner_loops.clear();
-    for spec in &mapping.levels()[1..] {
-        level_loops_into(&spec.order, &spec.trips, &mut scratch.inner_loops);
+    // Outer (DRAM-level) loops: array level 0. Inner (L2-level) loops:
+    // array levels 1..k concatenated outer→inner.
+    let (outer, inner) = mapping.levels().split_at(1);
+    let outer = NestReuse::walk(outer, &relevant);
+    let inner = NestReuse::walk(inner, &relevant);
+    let n_l2_tiles = outer.trips;
+
+    // Spatial fan-out of the array: every axis multiplies deliveries; an
+    // axis multiplies a tensor's unique traffic only when its parallel
+    // dim is relevant to the tensor (otherwise it multicasts).
+    let mut delivery_mult = 1.0;
+    let mut unique_mult = [1.0; 3];
+    for (l, &p) in conn.parallel_dims().iter().enumerate() {
+        let s = conn.sizes()[l] as f64;
+        delivery_mult *= s;
+        for (mult, mask) in unique_mult.iter_mut().zip(relevant) {
+            if is_set(mask, p) {
+                *mult *= s;
+            }
+        }
     }
-    let outer_loops = &scratch.outer_loops;
-    let inner_loops = &scratch.inner_loops;
-    let n_l2_tiles: f64 = outer_loops.iter().map(|l| l.trips as f64).product();
+
+    // L1 <-> MAC: register reuse from the PE loop order.
+    let macs = layer.macs() as f64;
+    let spin = innermost_spinning(mapping.pe_order(), pe_tile);
 
     let mut out = TrafficBreakdown::default();
     for (slot, tensor) in TENSORS.into_iter().enumerate() {
-        let rel = |d: Dim| tensor.is_relevant(d, layer);
         let bytes = widths.bytes(tensor) as f64;
 
         // ---- DRAM <-> L2 ----
-        let l2_tile_elems = tensor.tile_elems(layer, &l2_tile) as f64;
-        let fetches = l2_tile_elems * fetch_multiplier(outer_loops, rel) as f64;
+        let l2_tile_elems = tensor.tile_elems(layer, l2_tile) as f64;
+        let fetches = l2_tile_elems * outer.fetches[slot] as f64;
         let dram_bytes = if tensor == Tensor::Outputs {
-            let distinct = l2_tile_elems * distinct_tiles(outer_loops, rel) as f64;
+            let distinct = l2_tile_elems * outer.distinct[slot] as f64;
             // Every fetch event is a write; revisits additionally re-read.
             (fetches + (fetches - distinct)) * bytes
         } else {
@@ -159,27 +146,16 @@ pub fn analyze_tiles(
         };
 
         // ---- L2 <-> L1 over the NoC ----
-        let pe_tile_elems = tensor.tile_elems(layer, &pe_tile) as f64;
-        let per_pe_fetches = pe_tile_elems * fetch_multiplier(inner_loops, rel) as f64;
-        let mut unique_mult = 1.0;
-        let mut delivery_mult = 1.0;
-        for (l, &p) in conn.parallel_dims().iter().enumerate() {
-            let s = conn.sizes()[l] as f64;
-            delivery_mult *= s;
-            if rel(p) {
-                unique_mult *= s;
-            }
-        }
-        let unique_per_l2_tile = per_pe_fetches * unique_mult;
+        let pe_tile_elems = tensor.tile_elems(layer, pe_tile) as f64;
+        let per_pe_fetches = pe_tile_elems * inner.fetches[slot] as f64;
+        let unique_per_l2_tile = per_pe_fetches * unique_mult[slot];
         let (l2_bytes, noc_bytes) = if tensor == Tensor::Outputs {
             // Partial-sum revisits are read-modify-write: the re-read
             // crosses both the L2 port and the NoC (L2 → PE), on top of
             // the write (PE → L2).
-            let distinct_unique =
-                pe_tile_elems * distinct_tiles(inner_loops, rel) as f64 * unique_mult;
+            let distinct_unique = pe_tile_elems * inner.distinct[slot] as f64 * unique_mult[slot];
             let rmw_unique = unique_per_l2_tile - distinct_unique;
-            let distinct_deliveries =
-                pe_tile_elems * distinct_tiles(inner_loops, rel) as f64 * delivery_mult;
+            let distinct_deliveries = pe_tile_elems * inner.distinct[slot] as f64 * delivery_mult;
             let rmw_deliveries = per_pe_fetches * delivery_mult - distinct_deliveries;
             (
                 (unique_per_l2_tile + rmw_unique) * n_l2_tiles * bytes,
@@ -200,22 +176,10 @@ pub fn analyze_tiles(
         // traffic than L2 traffic.)
         let l2_bytes = l2_bytes.max(dram_bytes);
         let noc_bytes = noc_bytes.max(l2_bytes);
-        out.per_tensor[slot] = TensorTraffic {
-            dram_bytes: dram_bytes * batch,
-            l2_bytes: l2_bytes * batch,
-            noc_bytes: noc_bytes * batch,
-            l1_bytes: 0.0, // filled below
-        };
-    }
 
-    // ---- L1 <-> MAC (register reuse from the PE loop order) ----
-    let macs = layer.macs() as f64;
-    let spin = innermost_spinning(mapping.pe_order(), &pe_tile);
-    for (slot, tensor) in TENSORS.into_iter().enumerate() {
-        let rel = |d: Dim| tensor.is_relevant(d, layer);
-        let bytes = widths.bytes(tensor) as f64;
+        // ---- L1 <-> MAC ----
         let reuse = match spin {
-            Some((dim, extent)) if !rel(dim) => extent as f64,
+            Some((dim, extent)) if !is_set(relevant[slot], dim) => extent as f64,
             _ => 1.0,
         };
         let accesses = match tensor {
@@ -226,11 +190,73 @@ pub fn analyze_tiles(
             Tensor::Outputs => 2.0 * macs / reuse,
         };
         // Fills from the NoC also hit L1 once per delivered byte.
-        let fills = out.per_tensor[slot].noc_bytes;
-        out.per_tensor[slot].l1_bytes = accesses * bytes + fills;
+        let fills = noc_bytes * batch;
+        out.per_tensor[slot] = TensorTraffic {
+            dram_bytes: dram_bytes * batch,
+            l2_bytes: l2_bytes * batch,
+            noc_bytes: fills,
+            l1_bytes: accesses * bytes + fills,
+        };
     }
-
     out
+}
+
+/// The dimensions relevant to `tensor` on `layer`, one bit per
+/// [`Dim::index`].
+fn relevance_mask(tensor: Tensor, layer: &ConvSpec) -> u8 {
+    DIMS.iter()
+        .filter(|&&d| tensor.is_relevant(d, layer))
+        .fold(0, |mask, d| mask | 1 << d.index())
+}
+
+fn is_set(mask: u8, dim: Dim) -> bool {
+    mask & (1 << dim.index()) != 0
+}
+
+/// The sticky-tile counts of [`crate::reuse`] for all three tensors over
+/// one loop nest, gathered in a single walk: the nest is the levels'
+/// loops outermost first, skipping single-trip loops.
+struct NestReuse {
+    /// [`crate::reuse::fetch_multiplier`] per tensor: the product of all
+    /// trips up to and including the tensor's innermost relevant loop.
+    fetches: [u64; 3],
+    /// [`crate::reuse::distinct_tiles`] per tensor: the product of the
+    /// trips of its relevant loops.
+    distinct: [u64; 3],
+    /// Product of every trip, multiplied in loop order as `f64`.
+    trips: f64,
+}
+
+impl NestReuse {
+    fn walk(levels: &[LevelSpec], relevant: &[u8; 3]) -> NestReuse {
+        let mut nest = NestReuse {
+            fetches: [1; 3],
+            distinct: [1; 3],
+            trips: 1.0,
+        };
+        let mut prefix = 1u64;
+        for level in levels {
+            for &dim in &level.order {
+                // A loop of one (or zero) trips is skipped: multiplying by
+                // 1 leaves every product as it was, and it never becomes
+                // a tensor's innermost relevant loop. Selects instead of
+                // branches keep random mappings from mispredicting.
+                let t = level.trips[dim].max(1);
+                prefix *= t;
+                nest.trips *= t as f64;
+                for (slot, &mask) in relevant.iter().enumerate() {
+                    let rel = is_set(mask, dim);
+                    nest.fetches[slot] = if rel & (t > 1) {
+                        prefix
+                    } else {
+                        nest.fetches[slot]
+                    };
+                    nest.distinct[slot] *= if rel { t } else { 1 };
+                }
+            }
+        }
+        nest
+    }
 }
 
 /// The innermost PE-level loop that actually iterates (extent > 1),

@@ -1,10 +1,11 @@
 //! Property-based tests of the cost model's physical invariants.
 
-use naas_accel::baselines;
+use naas_accel::{baselines, Accelerator};
 use naas_cost::reuse::{distinct_tiles, fetch_multiplier, Loop};
-use naas_cost::{capacity, CostModel, DataWidths, Tensor};
+use naas_cost::{capacity, CostError, CostModel, DataWidths, Tensor};
 use naas_ir::{ConvSpec, Dim, DimVec};
 use naas_mapping::Mapping;
+use naas_opt::{EncodingScheme, MappingEncoder};
 use proptest::prelude::*;
 
 fn arb_layer() -> impl Strategy<Value = ConvSpec> {
@@ -14,10 +15,41 @@ fn arb_layer() -> impl Strategy<Value = ConvSpec> {
         6u64..=96,
         prop_oneof![Just(1u64), Just(3), Just(5)],
         1u64..=2,
+        proptest::bool::ANY,
     )
-        .prop_filter_map("valid shapes", |(c, k, hw, ks, s)| {
-            ConvSpec::conv2d("prop", c, k, (hw, hw), (ks, ks), s, ks / 2).ok()
+        .prop_filter_map("valid shapes", |(c, k, hw, ks, s, depthwise)| {
+            if depthwise {
+                ConvSpec::depthwise("prop", c, (hw, hw), (ks, ks), s, ks / 2).ok()
+            } else {
+                ConvSpec::conv2d("prop", c, k, (hw, hw), (ks, ks), s, ks / 2).ok()
+            }
         })
+}
+
+/// Random mapping vectors decoded per baseline and encoding.
+const DECODES_PER_CASE: usize = 4;
+
+/// The balanced heuristic mapping of `layer` on `accel`, then
+/// [`DECODES_PER_CASE`] random decodes in each encoding. Knobs are
+/// uniform draws stretched and clamped to the unit box, so about a tenth
+/// sit on each bound, as clamped optimizer samples do.
+fn mappings_for(layer: &ConvSpec, accel: &Accelerator, seed: &mut u64) -> Vec<Mapping> {
+    let conn = accel.connectivity();
+    let mut out = vec![Mapping::balanced(layer, accel)];
+    for scheme in [EncodingScheme::Importance, EncodingScheme::Index] {
+        let encoder = MappingEncoder::new(conn.ndim(), scheme);
+        for _ in 0..DECODES_PER_CASE {
+            let theta: Vec<f64> = (0..encoder.dim())
+                .map(|_| {
+                    *seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let unit = (*seed >> 11) as f64 / (1u64 << 53) as f64;
+                    (1.25 * unit - 0.125).clamp(0.0, 1.0)
+                })
+                .collect();
+            out.push(encoder.decode(&theta, layer, conn));
+        }
+    }
+    out
 }
 
 fn arb_loops() -> impl Strategy<Value = Vec<Loop>> {
@@ -61,22 +93,44 @@ proptest! {
         }
     }
 
-    /// Valid evaluations respect: compute floor, tensor-size floors on
-    /// DRAM traffic, MAC-energy floor, utilization in (0, 1].
+    /// Over standard and depthwise layers, the balanced mapping and random
+    /// decodes of both encodings on every baseline: the capacity verdict
+    /// is exactly the comparison of the PE and L2 tiles' footprints with
+    /// L1 and L2, and valid evaluations respect the layer's MAC count, the
+    /// compute floor, tensor-size floors on weight and output DRAM
+    /// traffic, the MAC-energy floor and utilization in (0, 1].
     #[test]
-    fn physical_floors(layer in arb_layer()) {
+    fn physical_floors(layer in arb_layer(), seed in 0u64..1 << 32) {
         let model = CostModel::new();
+        let widths = model.widths();
+        let mut seed = seed;
         for accel in baselines::all() {
-            let mapping = Mapping::balanced(&layer, &accel);
-            let Ok(cost) = model.evaluate(&layer, &accel, &mapping) else { continue };
-            prop_assert!(cost.cycles as u128 >= (layer.macs() / accel.pe_count()) as u128);
-            prop_assert!(cost.utilization > 0.0 && cost.utilization <= 1.0 + 1e-9);
-            let w = cost.traffic.tensor(Tensor::Weights);
-            prop_assert!(w.dram_bytes >= layer.weight_elems() as f64);
-            let o = cost.traffic.tensor(Tensor::Outputs);
-            prop_assert!(o.dram_bytes >= 4.0 * layer.output_elems() as f64);
-            // Deliveries dominate unique traffic (multicast only adds copies).
-            prop_assert!(cost.traffic.noc_total() >= cost.traffic.l2_total() * 0.999);
+            let sizing = accel.sizing();
+            for mapping in mappings_for(&layer, &accel, &mut seed) {
+                let pe_tile = mapping.pe_tile(&layer, accel.connectivity());
+                let l2_tile = mapping.tiles_per_level(&layer, accel.connectivity())[0];
+                let fits = capacity::tile_bytes(&layer, &pe_tile, widths) <= sizing.l1_bytes()
+                    && capacity::tile_bytes(&layer, &l2_tile, widths) <= sizing.l2_bytes();
+                let cost = match model.evaluate(&layer, &accel, &mapping) {
+                    Ok(cost) => cost,
+                    Err(CostError::Capacity(_)) => {
+                        prop_assert!(!fits, "refused a fitting mapping:\n{mapping}");
+                        continue;
+                    }
+                    Err(e) => panic!("decoded mappings are structurally valid: {e}"),
+                };
+                prop_assert!(fits, "accepted an overflowing mapping:\n{mapping}");
+                prop_assert_eq!(cost.macs, layer.macs());
+                prop_assert!(cost.cycles as u128 >= (layer.macs() / accel.pe_count()) as u128);
+                prop_assert!(cost.utilization > 0.0 && cost.utilization <= 1.0 + 1e-9);
+                prop_assert!(cost.energy_pj >= cost.macs as f64 * model.energy().mac_pj);
+                let w = cost.traffic.tensor(Tensor::Weights);
+                prop_assert!(w.dram_bytes >= layer.weight_elems() as f64);
+                let o = cost.traffic.tensor(Tensor::Outputs);
+                prop_assert!(o.dram_bytes >= 4.0 * layer.output_elems() as f64);
+                // Deliveries dominate unique traffic (multicast only adds copies).
+                prop_assert!(cost.traffic.noc_total() >= cost.traffic.l2_total() * 0.999);
+            }
         }
     }
 

@@ -32,7 +32,7 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::fingerprint::fnv1a;
-use naas_ir::ConvSpec;
+use naas_ir::{ConvKind, ConvSpec, ShapeError};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
@@ -71,6 +71,29 @@ impl LayerKey {
             padding: layer.padding(),
             groups: layer.groups(),
         }
+    }
+
+    /// A layer of this shape, for checks that need its derived
+    /// quantities. Name and kind are not part of the key: the layer is
+    /// named `"key"` and labelled [`ConvKind::Standard`].
+    ///
+    /// # Errors
+    ///
+    /// [`ShapeError`] when the fields describe no valid layer, as a
+    /// hand-edited cache file can.
+    pub fn to_layer(&self) -> Result<ConvSpec, ShapeError> {
+        ConvSpec::new(
+            "key",
+            ConvKind::Standard,
+            self.batch,
+            self.in_channels,
+            self.out_channels,
+            (self.in_y, self.in_x),
+            (self.kernel_r, self.kernel_s),
+            self.stride,
+            self.padding,
+            self.groups,
+        )
     }
 
     /// A stable 64-bit digest of the shape, used for seed derivation.

@@ -93,6 +93,9 @@ pub enum ScenarioError {
     UnknownModel(String),
     /// The envelope name is not in the baseline zoo.
     UnknownEnvelope(String),
+    /// The scenario names no benchmark network, so there is nothing to
+    /// aggregate a reward over.
+    NoNetworks,
 }
 
 impl fmt::Display for ScenarioError {
@@ -100,6 +103,7 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::UnknownModel(m) => write!(f, "unknown model `{m}`"),
             ScenarioError::UnknownEnvelope(e) => write!(f, "unknown envelope `{e}`"),
+            ScenarioError::NoNetworks => write!(f, "scenario names no benchmark network"),
         }
     }
 }
@@ -115,7 +119,15 @@ pub fn baseline_by_name(name: &str) -> Option<Accelerator> {
 
 impl Scenario {
     /// Builds the networks and the envelope this scenario names.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::NoNetworks`] for an empty network list, otherwise
+    /// the first model or envelope name that is not in its zoo.
     pub fn resolve(&self) -> Result<EvalJob, ScenarioError> {
+        if self.networks.is_empty() {
+            return Err(ScenarioError::NoNetworks);
+        }
         let networks = self
             .networks
             .iter()
@@ -233,6 +245,13 @@ mod tests {
             s.resolve().unwrap_err(),
             ScenarioError::UnknownEnvelope("TPUv5".to_string())
         );
+    }
+
+    #[test]
+    fn empty_network_list_is_refused() {
+        let mut s = find("cifar-eyeriss").unwrap();
+        s.networks.clear();
+        assert_eq!(s.resolve().unwrap_err(), ScenarioError::NoNetworks);
     }
 
     #[test]

@@ -142,6 +142,17 @@ impl Mapping {
                 got: self.levels.len(),
             });
         }
+        self.validate_loops()
+    }
+
+    /// The design-independent part of [`Mapping::validate`]: every loop
+    /// order is a permutation and no trip count is zero.
+    ///
+    /// # Errors
+    ///
+    /// The first non-permutation order or zero trip count, outermost
+    /// level first and the PE level last.
+    pub fn validate_loops(&self) -> Result<(), MappingError> {
         for (i, level) in self.levels.iter().enumerate() {
             if !is_permutation(&level.order) {
                 return Err(MappingError::NotAPermutation { level: i });
@@ -169,20 +180,6 @@ impl Mapping {
     /// count.
     pub fn tiles_per_level(&self, layer: &ConvSpec, conn: &Connectivity) -> Vec<DimVec<u64>> {
         let mut out = Vec::with_capacity(self.levels.len());
-        self.tiles_per_level_into(layer, conn, &mut out);
-        out
-    }
-
-    /// [`Mapping::tiles_per_level`] into a caller-owned buffer (cleared
-    /// first) — the batched evaluation pipeline reuses one buffer across
-    /// a whole population instead of allocating per candidate.
-    pub fn tiles_per_level_into(
-        &self,
-        layer: &ConvSpec,
-        conn: &Connectivity,
-        out: &mut Vec<DimVec<u64>>,
-    ) {
-        out.clear();
         let mut rem = layer.extents();
         for (level, spec) in self.levels.iter().enumerate() {
             rem = child_extents(&rem, &spec.trips);
@@ -193,12 +190,12 @@ impl Mapping {
                 rem[p] = ceil_div(rem[p], s);
             }
         }
+        out
     }
 
     /// The L2-resident tile extents — `tiles_per_level()[0]`, computed
     /// directly from the level-0 trips without walking (or allocating)
-    /// the whole hierarchy. The evaluation hot path uses this plus
-    /// [`Mapping::pe_tile`] instead of the full per-level walk.
+    /// the whole hierarchy.
     ///
     /// # Panics
     ///
@@ -210,16 +207,30 @@ impl Mapping {
     /// The per-PE (L1-resident) tile extents after all temporal tilings
     /// and spatial splits.
     pub fn pe_tile(&self, layer: &ConvSpec, conn: &Connectivity) -> DimVec<u64> {
+        self.l2_and_pe_tiles(layer, conn).1
+    }
+
+    /// [`Mapping::l2_tile`] and [`Mapping::pe_tile`] from one walk of the
+    /// hierarchy — the evaluation hot path needs both per candidate.
+    pub fn l2_and_pe_tiles(
+        &self,
+        layer: &ConvSpec,
+        conn: &Connectivity,
+    ) -> (DimVec<u64>, DimVec<u64>) {
         let mut rem = layer.extents();
+        let mut l2_tile = rem;
         for (level, spec) in self.levels.iter().enumerate() {
             rem = child_extents(&rem, &spec.trips);
+            if level == 0 {
+                l2_tile = rem;
+            }
             if level < conn.ndim() {
                 let p = conn.parallel_dims()[level];
                 let s = conn.sizes()[level];
                 rem[p] = ceil_div(rem[p], s);
             }
         }
-        rem
+        (l2_tile, rem)
     }
 
     /// Builds a capacity-aware heuristic mapping: outer loops keep weights

@@ -8,7 +8,8 @@ use naas_ir::{Dim, DIMS};
 /// outermost — the paper's importance-based encoding (Fig. 3, right).
 ///
 /// Ties break toward canonical dimension order (`K,C,Y,X,R,S`) so the
-/// decode is deterministic for any input, including NaN-free equal values.
+/// decode is deterministic for any input: `-0.0` ties with `0.0`, and a
+/// NaN counts as −∞ (so NaNs tie with each other and sink innermost).
 ///
 /// ```
 /// use naas_ir::Dim;
@@ -20,16 +21,15 @@ use naas_ir::{Dim, DIMS};
 /// assert_eq!(order[5], Dim::S);
 /// ```
 pub fn order_from_importance(importance: &[f64; 6]) -> [Dim; 6] {
-    let mut indexed = [(0usize, 0.0f64); 6];
-    for (i, v) in importance.iter().copied().enumerate() {
-        indexed[i] = (i, if v.is_nan() { f64::NEG_INFINITY } else { v });
-    }
-    // Stable sort keeps canonical order among ties (allocation-free at
-    // this length: slices this short insertion-sort in place).
-    indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("nan already mapped out"));
+    let key = importance.map(|v| if v.is_nan() { f64::NEG_INFINITY } else { v });
+    // A dimension's slot is its rank: the values strictly larger than its
+    // own, plus the equal ones at lower indices — the permutation a
+    // stable descending sort produces, without sorting (or branching).
     let mut out = DIMS;
-    for (slot, (dim_idx, _)) in indexed.into_iter().enumerate() {
-        out[slot] = Dim::from_index(dim_idx).expect("index < 6");
+    for (i, &ki) in key.iter().enumerate() {
+        let before = key[..i].iter().filter(|&&kj| kj >= ki).count();
+        let after = key[i + 1..].iter().filter(|&&kj| kj > ki).count();
+        out[before + after] = DIMS[i];
     }
     out
 }
@@ -205,6 +205,53 @@ mod tests {
     fn nan_importance_sinks_to_innermost() {
         let order = order_from_importance(&[f64::NAN, 1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(order[5], Dim::K);
+    }
+
+    /// The decode `order_from_importance` must reproduce, verbatim: the
+    /// stable descending sort it used before rank placement.
+    fn reference(importance: &[f64; 6]) -> [Dim; 6] {
+        let mut indexed = [(0usize, 0.0f64); 6];
+        for (i, v) in importance.iter().copied().enumerate() {
+            indexed[i] = (i, if v.is_nan() { f64::NEG_INFINITY } else { v });
+        }
+        indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("nan already mapped out"));
+        let mut out = DIMS;
+        for (slot, (dim_idx, _)) in indexed.into_iter().enumerate() {
+            out[slot] = Dim::from_index(dim_idx).expect("index < 6");
+        }
+        out
+    }
+
+    /// SplitMix64 — a dependency-free stream of test draws.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn rank_placement_matches_stable_sort() {
+        let specials = [f64::NAN, -f64::NAN, -0.0, 0.0, 1.0, f64::NEG_INFINITY];
+        let mut state = 0x0dd5;
+        for _ in 0..1_000_000 {
+            let mut imp = [0.0f64; 6];
+            for i in 0..6 {
+                let draw = next(&mut state);
+                let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
+                imp[i] = match draw % 8 {
+                    // A tie with an earlier value.
+                    0 | 1 if i > 0 => imp[(draw >> 3) as usize % i],
+                    2 => specials[(draw >> 3) as usize % specials.len()],
+                    // A sample clamped to the unit box, as the optimizer
+                    // clamps: about a fifth land on 0 and a fifth on 1.
+                    3..=5 => (1.6 * unit - 0.3).clamp(0.0, 1.0),
+                    _ => unit,
+                };
+            }
+            assert_eq!(order_from_importance(&imp), reference(&imp), "{imp:?}");
+        }
     }
 
     #[test]

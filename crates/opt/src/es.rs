@@ -211,6 +211,43 @@ impl Optimizer for CemEs {
     fn dim(&self) -> usize {
         self.dim
     }
+
+    /// Requires `dim ≥ 1`, `mean` and `var` of `dim` entries each, a
+    /// finite `mean`, a finite non-negative `var`, and a `chol` of `dim²`
+    /// entries when present.
+    fn check_state(&self) -> Result<(), String> {
+        if self.dim == 0 {
+            return Err("`dim` must be at least 1".to_string());
+        }
+        for (name, values) in [("mean", &self.mean), ("var", &self.var)] {
+            if values.len() != self.dim {
+                return Err(format!(
+                    "`{name}` has {} entries for `dim` {}",
+                    values.len(),
+                    self.dim
+                ));
+            }
+        }
+        if let Some(i) = self.mean.iter().position(|m| !m.is_finite()) {
+            return Err(format!("`mean[{i}]` must be finite, got {}", self.mean[i]));
+        }
+        if let Some(i) = self.var.iter().position(|v| !(v.is_finite() && *v >= 0.0)) {
+            return Err(format!(
+                "`var[{i}]` must be finite and non-negative, got {}",
+                self.var[i]
+            ));
+        }
+        if let Some(chol) = &self.chol {
+            if Some(chol.len()) != self.dim.checked_mul(self.dim) {
+                return Err(format!(
+                    "`chol` has {} entries for `dim` {} (needs dim²)",
+                    chol.len(),
+                    self.dim
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Lower-triangular Cholesky factor of a symmetric positive-semidefinite
@@ -394,6 +431,45 @@ mod tests {
         a.ask_batch_into(&mut slots);
         for slot in &slots {
             assert_eq!(&b.ask(), slot);
+        }
+    }
+
+    /// States the constructor and `tell` produce pass `check_state`; each
+    /// field a checkpoint edit can break is named.
+    #[test]
+    fn check_state_names_each_broken_field() {
+        let cfg = EsConfig {
+            full_covariance: true,
+            ..EsConfig::default()
+        };
+        let mut es = CemEs::new(3, cfg, 5);
+        assert_eq!(es.check_state(), Ok(()));
+        let scored: Vec<(Vec<f64>, f64)> = (0..8).map(|i| (es.ask(), i as f64)).collect();
+        es.tell(&scored);
+        assert!(es.chol.is_some());
+        assert_eq!(es.check_state(), Ok(()));
+
+        type Edit = fn(&mut CemEs);
+        let broken: [(&str, Edit); 7] = [
+            ("`dim` must be at least 1", |es| es.dim = 0),
+            ("`mean` has 2 entries", |es| es.mean.truncate(2)),
+            ("`var` has 4 entries", |es| es.var.push(0.1)),
+            ("`mean[1]` must be finite", |es| es.mean[1] = f64::INFINITY),
+            ("`var[2]` must be finite and non-negative", |es| {
+                es.var[2] = -1.0
+            }),
+            ("`var[0]` must be finite and non-negative", |es| {
+                es.var[0] = f64::NAN
+            }),
+            ("`chol` has 8 entries", |es| {
+                es.chol.as_mut().unwrap().pop();
+            }),
+        ];
+        for (want, edit) in broken {
+            let mut bad = es.clone();
+            edit(&mut bad);
+            let err = bad.check_state().unwrap_err();
+            assert!(err.contains(want), "{err} should say {want}");
         }
     }
 

@@ -85,4 +85,14 @@ pub trait Optimizer {
 
     /// Dimensionality of the search vector.
     fn dim(&self) -> usize;
+
+    /// Checks the consistency of a state read from outside the program
+    /// (a checkpoint) before it samples: a state that fails would panic
+    /// or sample NaN. Every state the constructors and `tell` produce
+    /// passes.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field.
+    fn check_state(&self) -> Result<(), String>;
 }

@@ -43,11 +43,27 @@ impl Optimizer for RandomSearch {
     fn dim(&self) -> usize {
         self.dim
     }
+
+    /// Requires `dim ≥ 1`.
+    fn check_state(&self) -> Result<(), String> {
+        if self.dim == 0 {
+            return Err("`dim` must be at least 1".to_string());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_state_requires_a_dimension() {
+        let mut rs = RandomSearch::new(3, 11);
+        assert_eq!(rs.check_state(), Ok(()));
+        rs.dim = 0;
+        assert!(rs.check_state().unwrap_err().contains("`dim`"));
+    }
 
     #[test]
     fn samples_cover_unit_box() {

@@ -384,6 +384,23 @@ fn scenario_objects_are_accepted_inline() {
     assert_eq!(by_object, by_name);
 }
 
+/// A scenario object naming no network is an error answer, not a panic
+/// (there is no suite to aggregate a reward over).
+#[test]
+fn scenario_object_without_networks_is_an_error_response() {
+    let s = service(1);
+    let mut scenario = scenario::find("cifar-eyeriss").unwrap();
+    scenario.networks.clear();
+    let line = s.respond(&format!(
+        r#"{{"id":1,"cmd":"score_design","scenario":{},"design":"Eyeriss"}}"#,
+        serde_json::to_string(&scenario).unwrap()
+    ));
+    let v = parse(&line);
+    assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{line}");
+    let error = v.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("no benchmark network"), "{error}");
+}
+
 /// The accelerator-mode `evaluate_shard` reply contract: no
 /// `cache_delta`, and a candidate ships whole (`per_network` included)
 /// exactly where its reward is strictly below both the request's
