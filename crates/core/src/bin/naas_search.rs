@@ -6,14 +6,12 @@
 //!                            [--threads N] [--checkpoint FILE] [--every K]
 //!                            [--cache-file FILE] [--cache-cap N]
 //!                            [--workers host:port,...] [--metrics-file FILE]
-//!                            [--microshards N] [--steal-deadline MS]
 //!                            [--objectives scalar|pareto]
 //! naas-search run --file scenario.json [...]
 //! naas-search resume <checkpoint-file> [--threads N] [--every K]
 //!                                      [--cache-file FILE] [--cache-cap N]
 //!                                      [--workers host:port,...|local]
 //!                                      [--metrics-file FILE]
-//!                                      [--microshards N] [--steal-deadline MS]
 //!                                      [--objectives scalar|pareto]
 //! naas-search show <checkpoint-file>
 //! naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper]
@@ -26,8 +24,7 @@
 //!                     [--seed N] [--max-jobs N] [--tenant-quota N]
 //!                     [--executors N] [--workers host:port,...]
 //!                     [--threads N] [--cache-file FILE] [--cache-cap N]
-//!                     [--metrics-file FILE] [--microshards N]
-//!                     [--steal-deadline MS]
+//!                     [--metrics-file FILE]
 //! naas-search client <host:port> [metrics]
 //! naas-search client <host:port> submit --scenario NAME [--kind accel|joint]
 //!                     [--tenant T] [--weight N] [--seed N] [--preset quick|paper]
@@ -64,17 +61,13 @@
 //! `resume` re-dials the same fleet by default (`--workers` overrides;
 //! `--workers local` forces single-process).
 //!
-//! `--microshards N` tunes how many micro-shards each live worker's
-//! queue is cut into per generation (default 6). `--steal-deadline MS`
-//! is the age after which an in-flight micro-shard is speculatively
-//! re-issued to an idle worker (default 500 ms, first answer wins).
-//! Both are scheduling knobs only — results stay bit-identical at any
-//! setting — and both are recorded in the checkpointed shard plan, so
-//! `resume` keeps the tuning unless overridden (a checkpoint recording
-//! the retired static plan, `microshards: 0`, resumes on the default).
-//! See docs/OPERATIONS.md ("Tuning the scheduler"). Degenerate tunings
-//! (`--microshards 0`, `--steal-deadline 0`, `--microshards` above the
-//! population) are rejected before any worker is dialed.
+//! The fleet scheduler has no settings: each generation is cut into up
+//! to six micro-shards per live worker, idle workers steal from
+//! stragglers, and a micro-shard in flight past 500 ms is speculatively
+//! re-issued (first answer wins). See docs/OPERATIONS.md ("The scheduler"). The
+//! retired `--microshards` and `--steal-deadline` are refused like any
+//! unknown flag, and a checkpoint whose shard plan records them resumes
+//! on the fixed policy.
 //!
 //! `--cache-file` persists the engine's mapping memo cache: entries are
 //! warm-loaded before the search starts (if the file exists) and the
@@ -149,10 +142,10 @@ fn usage() -> ! {
         "usage:\n  naas-search list\n  naas-search run <scenario|--file scenario.json> \
          [--preset smoke|quick|paper] [--seed N] [--threads N] [--checkpoint FILE] [--every K] \
          [--cache-file FILE] [--cache-cap N] [--workers host:port,...] [--metrics-file FILE] \
-         [--microshards N] [--steal-deadline MS] [--objectives scalar|pareto]\n  \
+         [--objectives scalar|pareto]\n  \
          naas-search resume <checkpoint-file> [--threads N] [--every K] [--cache-file FILE] \
          [--cache-cap N] [--workers host:port,...|local] [--metrics-file FILE] \
-         [--microshards N] [--steal-deadline MS] [--objectives scalar|pareto]\n  \
+         [--objectives scalar|pareto]\n  \
          naas-search show <checkpoint-file>\n  \
          naas-search serve [--port N] [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
          [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
@@ -160,8 +153,7 @@ fn usage() -> ! {
          [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
          naas-search gateway [--port N] [--bind ADDR] [--preset smoke|quick|paper] [--seed N] \
          [--max-jobs N] [--tenant-quota N] [--executors N] [--workers host:port,...] \
-         [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE] \
-         [--microshards N] [--steal-deadline MS]\n  \
+         [--threads N] [--cache-file FILE] [--cache-cap N] [--metrics-file FILE]\n  \
          naas-search client <host:port> [metrics]\n  \
          naas-search client <host:port> submit --scenario NAME [--kind accel|joint] \
          [--tenant T] [--weight N] [--seed N] [--preset quick|paper]\n  \
@@ -208,8 +200,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "cache-cap",
             "workers",
             "metrics-file",
-            "microshards",
-            "steal-deadline",
             "objectives",
         ],
         "resume" => &[
@@ -219,8 +209,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "cache-cap",
             "workers",
             "metrics-file",
-            "microshards",
-            "steal-deadline",
             "objectives",
         ],
         "serve" | "worker" => SERVICE,
@@ -237,8 +225,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "tenant-quota",
             "executors",
             "workers",
-            "microshards",
-            "steal-deadline",
         ],
         "client" => &[
             "scenario", "kind", "tenant", "weight", "seed", "preset", "job", "since", "follow",
@@ -390,7 +376,6 @@ fn cmd_run(args: &Args) {
     let seed = args.get_num("seed").unwrap_or(job.scenario.seed);
     let threads = args.get_num("threads").unwrap_or(0);
     let cfg = search_config(args, seed, threads);
-    check_scheduler_flags(args, cfg.population);
 
     let policy = args.get("checkpoint").map(|path| CheckpointPolicy {
         path: path.into(),
@@ -417,7 +402,7 @@ fn cmd_run(args: &Args) {
     };
 
     let state = accel_search_init(&job.constraint, &cfg, &seeds);
-    let mut driver = make_driver(args, args.get("workers"), &job.scenario);
+    let mut driver = make_driver(args.get("workers"), &job.scenario);
     drive(
         &engine,
         &model,
@@ -479,17 +464,10 @@ impl Driver {
     }
 }
 
-/// Builds the generation driver from a `--workers` value: a
-/// comma-separated `host:port` list shards over that fleet; absent or
-/// `local` runs in-process. Either way the search results are
-/// bit-identical — workers only relocate candidate evaluations.
-fn make_driver(args: &Args, workers: Option<&str>, scenario: &Scenario) -> Driver {
-    let Some(list) = workers else {
-        return Driver::Local;
-    };
-    if list == "local" {
-        return Driver::Local;
-    }
+/// Parses a `--workers` value: the comma-separated `host:port` list of
+/// a fleet, or `None` when the flag is absent or `local`.
+fn worker_addrs(workers: Option<&str>) -> Option<Vec<String>> {
+    let list = workers.filter(|&list| list != "local")?;
     let addrs: Vec<String> = list
         .split(',')
         .map(str::trim)
@@ -499,51 +477,25 @@ fn make_driver(args: &Args, workers: Option<&str>, scenario: &Scenario) -> Drive
     if addrs.is_empty() {
         fail("--workers expects a comma-separated host:port list (or `local`)");
     }
-    let mut coordinator = naas::DistributedCoordinator::connect(&addrs, scenario)
+    Some(addrs)
+}
+
+/// Builds the generation driver from a `--workers` value: a
+/// comma-separated `host:port` list shards over that fleet; absent or
+/// `local` runs in-process. Either way the search results are
+/// bit-identical — workers only relocate candidate evaluations.
+fn make_driver(workers: Option<&str>, scenario: &Scenario) -> Driver {
+    let Some(addrs) = worker_addrs(workers) else {
+        return Driver::Local;
+    };
+    let coordinator = naas::DistributedCoordinator::connect(&addrs, scenario)
         .unwrap_or_else(|e| fail(format!("cannot connect worker fleet: {e}")));
-    apply_scheduler_flags(&mut coordinator, args, None);
     println!(
         "sharding over {} worker(s): {}",
         addrs.len(),
         addrs.join(", ")
     );
     Driver::Distributed(Box::new(coordinator))
-}
-
-/// Applies `--microshards` / `--steal-deadline` to a coordinator. On
-/// resume, a recorded shard `plan` supplies the defaults (the tuning an
-/// interrupted run was using), and explicit flags override it; old
-/// checkpoints without the fields keep the built-in defaults, and a
-/// recorded `microshards: 0` (the retired static plan) selects the
-/// default too. Tuning never changes results — only how fast
-/// generations clear.
-fn apply_scheduler_flags(
-    coordinator: &mut naas::DistributedCoordinator,
-    args: &Args,
-    plan: Option<&naas::ShardPlan>,
-) {
-    let recorded = plan.and_then(|p| p.microshards);
-    if let Some(micro) = args.get_num("microshards").or(recorded) {
-        coordinator.set_microshards(micro);
-    }
-    let recorded_ms = plan.and_then(|p| p.steal_deadline_ms);
-    if let Some(ms) = args.get_num::<u64>("steal-deadline").or(recorded_ms) {
-        coordinator.set_steal_deadline(std::time::Duration::from_millis(ms));
-    }
-}
-
-/// Rejects degenerate scheduler tunings at parse time, before any
-/// worker is dialed or any generation runs. Only explicitly-given
-/// flags are checked — absent flags fall back to defaults that are
-/// valid by construction, and recorded checkpoint values were already
-/// validated by the run that wrote them.
-fn check_scheduler_flags(args: &Args, population: usize) {
-    naas::validate_scheduler_flags(
-        args.get_num("microshards"),
-        args.get_num("steal-deadline").unwrap_or(1),
-        population,
-    )
-    .unwrap_or_else(|e| fail(e));
 }
 
 /// Resolves `--cache-cap` (0 = unbounded) and `--cache-file`,
@@ -617,7 +569,6 @@ fn cmd_resume(args: &Args) {
     let threads = args
         .get_num("threads")
         .unwrap_or(snapshot.state.config.threads);
-    check_scheduler_flags(args, snapshot.state.config.population);
     // A resumed run keeps checkpointing to the file it came from (same
     // cadence flag as `run`), so a second interruption loses at most
     // `--every` generations — not everything since the first crash.
@@ -638,11 +589,10 @@ fn cmd_resume(args: &Args) {
     // the plan the interrupted run was sharded over. Either way the
     // resumed trajectory is identical — sharding never changes results.
     let mut driver = match (args.get("workers"), &snapshot.shards) {
-        (Some(flag), _) => make_driver(args, Some(flag), &job.scenario),
+        (Some(flag), _) => make_driver(Some(flag), &job.scenario),
         (None, Some(plan)) => {
             match naas::DistributedCoordinator::connect(&plan.workers, &job.scenario) {
-                Ok(mut coordinator) => {
-                    apply_scheduler_flags(&mut coordinator, args, Some(plan));
+                Ok(coordinator) => {
                     println!("re-dialed recorded shard plan: {}", plan.workers.join(", "));
                     Driver::Distributed(Box::new(coordinator))
                 }
@@ -827,9 +777,9 @@ fn build_service(args: &Args, banner: &str) -> naas::BatchEvalService {
 }
 
 /// The periodic `--metrics-file` snapshot writer for the long-lived
-/// service modes (`serve`/`worker`): one metrics line every 30 seconds,
-/// from a detached thread that dies with the process. Structured events
-/// flow to the same sink as they happen.
+/// service modes (`serve`, `worker`, `gateway`): one metrics line every
+/// 30 seconds, from a detached thread that dies with the process.
+/// Structured events flow to the same sink as they happen.
 fn start_metrics_snapshots(args: &Args, service: &std::sync::Arc<naas::BatchEvalService>) {
     if !init_metrics_file(args) {
         return;
@@ -841,16 +791,19 @@ fn start_metrics_snapshots(args: &Args, service: &std::sync::Arc<naas::BatchEval
     });
 }
 
-/// `serve`: the batch-evaluation service. One warm engine answers JSONL
-/// requests on stdin/stdout; `--port` additionally accepts TCP
-/// connections (on `--bind`, default loopback). A `shutdown` command
-/// (from any stream) persists the cache and exits cleanly; without
-/// `--port`, stdin EOF does the same.
+/// `serve`: the batch-evaluation service, one warm engine answering
+/// JSONL requests on stdin/stdout and, with `--port`, over TCP.
 fn cmd_serve(args: &Args) {
     let service = std::sync::Arc::new(build_service(args, "serve"));
     start_metrics_snapshots(args, &service);
-    let server = naas::ServiceServer::start(std::sync::Arc::clone(&service));
+    serve_stdio_and_tcp(args, naas::ServiceServer::start(service));
+}
 
+/// The stream plumbing shared by `serve` and `gateway`: answers JSONL on
+/// stdin/stdout and, with `--port`, on TCP connections too (on `--bind`,
+/// default loopback). A `shutdown` command from any stream persists the
+/// cache and exits; without `--port`, stdin EOF does the same.
+fn serve_stdio_and_tcp<S: naas::WireService>(args: &Args, server: naas::ServiceServer<S>) {
     let port: Option<u16> = args.get_num("port");
     match port {
         None => {
@@ -934,39 +887,16 @@ fn cmd_worker(args: &Args) {
 /// shared fleet). Same stdio/TCP plumbing as `serve`.
 fn cmd_gateway(args: &Args) {
     let inner = std::sync::Arc::new(build_service(args, "gateway"));
-    let fleet = match args.get("workers") {
-        None | Some("local") => None,
-        Some(list) => {
-            let addrs: Vec<String> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|a| !a.is_empty())
-                .map(String::from)
-                .collect();
-            if addrs.is_empty() {
-                fail("--workers expects a comma-separated host:port list (or `local`)");
-            }
-            // Gateway jobs pick their own populations per preset, so
-            // the microshard bound cannot be checked here — the
-            // coordinator clamps shard counts per generation anyway.
-            // The zero checks still apply, before any worker is dialed.
-            check_scheduler_flags(args, usize::MAX);
-            let coordinator = naas::DistributedCoordinator::connect_fleet(&addrs)
-                .unwrap_or_else(|e| fail(format!("cannot connect worker fleet: {e}")));
-            let shared = naas::SharedCoordinator::new(coordinator);
-            shared.configure(
-                args.get_num("microshards"),
-                args.get_num::<u64>("steal-deadline")
-                    .map(std::time::Duration::from_millis),
-            );
-            println!(
-                "gateway sharding over {} worker(s): {}",
-                addrs.len(),
-                addrs.join(", ")
-            );
-            Some(shared)
-        }
-    };
+    let fleet = worker_addrs(args.get("workers")).map(|addrs| {
+        let coordinator = naas::DistributedCoordinator::connect_fleet(&addrs)
+            .unwrap_or_else(|e| fail(format!("cannot connect worker fleet: {e}")));
+        println!(
+            "gateway sharding over {} worker(s): {}",
+            addrs.len(),
+            addrs.join(", ")
+        );
+        naas::SharedCoordinator::new(coordinator)
+    });
     let gateway = std::sync::Arc::new(naas::GatewayService::start(
         std::sync::Arc::clone(&inner),
         fleet,
@@ -976,46 +906,8 @@ fn cmd_gateway(args: &Args) {
             executors: args.get_num("executors").unwrap_or(0),
         },
     ));
-    if init_metrics_file(args) {
-        let inner = std::sync::Arc::clone(&inner);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(std::time::Duration::from_secs(30));
-            write_metrics_snapshot(inner.engine());
-        });
-    }
-    let server = naas::ServiceServer::start(std::sync::Arc::clone(&gateway));
-
-    let port: Option<u16> = args.get_num("port");
-    match port {
-        None => {
-            let stdin = std::io::BufReader::new(std::io::stdin());
-            let stdout = std::io::stdout().lock();
-            server
-                .serve_stream(stdin, stdout)
-                .unwrap_or_else(|e| fail(format!("stdio stream failed: {e}")));
-            server
-                .stop()
-                .unwrap_or_else(|e| fail(format!("cannot persist cache: {e}")));
-        }
-        Some(port) => {
-            let listener = bind_listener(args, port);
-            let server = std::sync::Arc::new(server);
-            let tcp = {
-                let server = std::sync::Arc::clone(&server);
-                std::thread::spawn(move || match server.serve_listener(listener) {
-                    Ok(_) => finish_and_exit(&server),
-                    Err(e) => fail(format!("TCP listener failed: {e}")),
-                })
-            };
-            let stdin = std::io::BufReader::new(std::io::stdin());
-            let stdout = std::io::stdout().lock();
-            if let Ok(true) = server.serve_stream(stdin, stdout) {
-                finish_and_exit(&server);
-            }
-            let _ = tcp.join();
-            unreachable!("TCP listener thread exits the process");
-        }
-    }
+    start_metrics_snapshots(args, &inner);
+    serve_stdio_and_tcp(args, naas::ServiceServer::start(gateway));
 }
 
 /// The shutdown path shared by `serve --port`, `worker` and `gateway`:

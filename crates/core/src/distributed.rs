@@ -23,9 +23,9 @@
 //! worker, one blocking RPC each, and the whole fleet idled until the
 //! slowest worker returned — a single slow or cold machine set the pace
 //! of the entire search. The scheduler replaces that with dynamic
-//! dispatch (see `--microshards` / `--steal-deadline`):
+//! dispatch, under a policy fixed in code:
 //!
-//! * each worker gets a **queue** of ~[`DEFAULT_MICROSHARDS`] small
+//! * each worker gets a **queue** of ~`MICROSHARDS_PER_WORKER` small
 //!   contiguous ranges, sized by a per-worker throughput EWMA measured
 //!   from its own completed work (unknown workers get the fleet mean);
 //! * every worker's RPC pipeline is kept full with **send-ahead**
@@ -34,7 +34,7 @@
 //!   answers per-stream in request order, so no wire change;
 //! * an idle worker **steals** the un-issued tail of a straggler's
 //!   queue (re-splitting oversized tails), and a shard in flight past
-//!   the steal deadline is **speculatively re-issued** — first answer
+//!   `STEAL_DEADLINE` is **speculatively re-issued** — first answer
 //!   wins, the loser's late reply is dropped by shard id and counted as
 //!   a duplicate, never treated as a protocol error;
 //! * known-slow workers are gated out of stealing, so the fast part of
@@ -162,14 +162,14 @@ const JOINT_CAPABILITY: &str = "joint";
 /// never on the generation critical path.
 pub const CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 
-/// Default micro-shards per live worker. Enough granularity for the
-/// fleet to rebalance around a 4× straggler, few enough that the
-/// per-request overhead (JSON framing, batcher wakeups) stays noise.
-pub const DEFAULT_MICROSHARDS: usize = 6;
+/// Micro-shards per live worker. Enough granularity for the fleet to
+/// rebalance around a 4× straggler, few enough that the per-request
+/// overhead (JSON framing, batcher wakeups) stays noise.
+const MICROSHARDS_PER_WORKER: usize = 6;
 
-/// Default age past which an in-flight shard on a slower worker is
+/// Age past which an in-flight shard on a slower worker is
 /// speculatively re-issued to an idle one.
-pub const DEFAULT_STEAL_DEADLINE: Duration = Duration::from_millis(500);
+const STEAL_DEADLINE: Duration = Duration::from_millis(500);
 
 /// The scheduler's receive/poll tick: how long an idle worker thread
 /// waits before re-checking for stealable or overdue work.
@@ -185,67 +185,18 @@ const REJOIN_GRACE: Duration = Duration::from_millis(150);
 /// The serializable record of how a run is sharded — written into
 /// checkpoints so `naas-search resume` can re-dial the same fleet
 /// without re-stating `--workers`. Unknown fields are ignored on load,
-/// so checkpoints recording the retired `overlap` setting still resume.
+/// so checkpoints recording the retired `overlap`, `microshards` or
+/// `steal_deadline_ms` settings still resume, on the fixed scheduler.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardPlan {
     /// Worker addresses (`host:port`), in shard order.
     pub workers: Vec<String>,
-    /// Micro-shards per live worker. `None` in checkpoints from before
-    /// the scheduler existed, `Some(0)` in checkpoints of the retired
-    /// static one-shard-per-worker plan — both resumed as the default.
-    pub microshards: Option<usize>,
-    /// Speculative re-issue deadline, milliseconds. `None` in old
-    /// checkpoints — resumed as the default.
-    pub steal_deadline_ms: Option<u64>,
 }
 
-/// Validates the scheduler tuning flags at configuration time — the CLI
-/// calls this before any worker is dialed, so a degenerate combination
-/// is a crisp diagnostic instead of a degenerate schedule.
-///
-/// # Errors
-///
-/// * `--microshards 0` names no plan: the micro-shard scheduler is the
-///   only dispatch, and it needs at least one shard per worker.
-/// * `--steal-deadline 0` would mark every in-flight shard overdue the
-///   moment it is issued, turning the whole run into duplicate work.
-/// * `--microshards` above the population cannot be honored: shards are
-///   contiguous candidate ranges, so there can never be more non-empty
-///   shards than candidates.
-///
-/// `microshards` is the flag as given: `None` when it is absent (the
-/// default applies).
-pub fn validate_scheduler_flags(
-    microshards: Option<usize>,
-    steal_deadline_ms: u64,
-    population: usize,
-) -> Result<(), String> {
-    if microshards == Some(0) {
-        return Err(
-            "--microshards must be at least 1: the micro-shard scheduler is the only dispatch \
-             (the static one-shard-per-worker plan is gone)"
-                .to_string(),
-        );
-    }
-    if steal_deadline_ms == 0 {
-        return Err(
-            "--steal-deadline must be at least 1 ms: a zero deadline marks every in-flight \
-             shard overdue immediately, so the fleet would speculatively duplicate all work"
-                .to_string(),
-        );
-    }
-    match microshards {
-        Some(microshards) if microshards > population => Err(format!(
-            "--microshards {microshards} exceeds the population size {population}: micro-shards \
-             are contiguous candidate ranges, so at most one per candidate can exist"
-        )),
-        _ => Ok(()),
-    }
-}
-
-/// Per-generation (and cumulative) counters of the micro-shard
-/// scheduler, exposed for tests and benches that need exact per-run
-/// numbers without racing on the process-global telemetry registry.
+/// Counters of the micro-shard scheduler, summed over a coordinator's
+/// lifetime ([`DistributedCoordinator::scheduler_stats`]) for tests and
+/// benches that need exact per-run numbers without racing on the
+/// process-global telemetry registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Micro-shard requests issued (every copy, including re-issues).
@@ -332,16 +283,10 @@ pub struct DistributedCoordinator {
     /// Busiest worker of the generation in progress (address, busy
     /// micros) — telemetry only, surfaced in the progress event.
     last_slowest: Option<(String, u64)>,
-    /// Micro-shards per live worker (at least 1).
-    microshards: usize,
-    /// Age past which an in-flight shard is speculatively re-issued.
-    steal_deadline: Duration,
     /// Per-worker throughput EWMA, microseconds per candidate, fed by
     /// each generation's busy-time measurements. `None` until a worker
     /// first completes work.
     rates: Vec<Option<f64>>,
-    /// Scheduler counters of the most recent generation.
-    stats_last: SchedulerStats,
     /// Scheduler counters accumulated over the coordinator's lifetime.
     stats_total: SchedulerStats,
     /// Background rejoin probes report here: worker index plus either a
@@ -412,10 +357,7 @@ impl DistributedCoordinator {
             scenario_value,
             generation: 0,
             last_slowest: None,
-            microshards: DEFAULT_MICROSHARDS,
-            steal_deadline: DEFAULT_STEAL_DEADLINE,
             rates: vec![None; worker_count],
-            stats_last: SchedulerStats::default(),
             stats_total: SchedulerStats::default(),
             probe_tx,
             probe_rx,
@@ -424,8 +366,7 @@ impl DistributedCoordinator {
         })
     }
 
-    /// The shard plan (worker addresses plus scheduler tuning) this
-    /// coordinator was built on.
+    /// The shard plan (worker addresses) this coordinator was built on.
     pub fn plan(&self) -> ShardPlan {
         ShardPlan {
             workers: self
@@ -433,33 +374,7 @@ impl DistributedCoordinator {
                 .iter()
                 .map(|w| w.remote.addr().to_string())
                 .collect(),
-            microshards: Some(self.microshards),
-            steal_deadline_ms: Some(
-                u64::try_from(self.steal_deadline.as_millis()).unwrap_or(u64::MAX),
-            ),
         }
-    }
-
-    /// Sets the micro-shards-per-worker target. `0` selects
-    /// [`DEFAULT_MICROSHARDS`]: checkpoints of the retired static
-    /// one-shard-per-worker plan record it, and resume on the default.
-    pub fn set_microshards(&mut self, microshards: usize) {
-        self.microshards = if microshards == 0 {
-            DEFAULT_MICROSHARDS
-        } else {
-            microshards
-        };
-    }
-
-    /// Sets the age past which an in-flight shard on a slower worker is
-    /// speculatively re-issued to an idle one.
-    pub fn set_steal_deadline(&mut self, deadline: Duration) {
-        self.steal_deadline = deadline;
-    }
-
-    /// Scheduler counters of the most recently completed generation.
-    pub fn last_generation_stats(&self) -> SchedulerStats {
-        self.stats_last
     }
 
     /// Scheduler counters accumulated since the coordinator connected.
@@ -860,7 +775,6 @@ impl DistributedCoordinator {
         parse: &ParseShard<T>,
         fallback: &mut LocalFallback<'_, T>,
     ) -> Vec<T> {
-        self.stats_last = SchedulerStats::default();
         let mut merged: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let mut leftovers: Vec<Range<usize>> = Vec::new();
 
@@ -919,15 +833,14 @@ impl DistributedCoordinator {
         merged: &mut Vec<Option<T>>,
         leftovers: &mut Vec<Range<usize>>,
     ) {
-        let per_worker = self.microshards;
         let live_rates: Vec<Option<f64>> = live.iter().map(|&w| self.rates[w]).collect();
-        let base_chunk = n.div_ceil(live.len() * per_worker).max(1);
+        let base_chunk = n.div_ceil(live.len() * MICROSHARDS_PER_WORKER).max(1);
 
         let worker_count = self.workers.len();
         let mut queues: Vec<VecDeque<Range<usize>>> =
             (0..worker_count).map(|_| VecDeque::new()).collect();
         let mut active = vec![false; worker_count];
-        let blocks = microshard_plan(n, &live_rates, per_worker);
+        let blocks = microshard_plan(n, &live_rates, MICROSHARDS_PER_WORKER);
         for (i, &w) in live.iter().enumerate() {
             queues[w] = blocks[i].iter().cloned().collect();
             active[w] = true;
@@ -943,7 +856,6 @@ impl DistributedCoordinator {
             stats: SchedulerStats::default(),
         });
         let merge = Mutex::new(std::mem::take(merged));
-        let deadline = self.steal_deadline;
         let rates = &self.rates;
 
         let mut ends: Vec<WorkerEnd> = Vec::new();
@@ -958,9 +870,7 @@ impl DistributedCoordinator {
                 let rate_known = rates[widx].is_some();
                 let remote = &mut slot.remote;
                 handles.push(scope.spawn(move || {
-                    worker_loop(
-                        remote, widx, rate_known, deadline, sched, merge, build, parse,
-                    )
+                    worker_loop(remote, widx, rate_known, sched, merge, build, parse)
                 }));
             }
             for handle in handles {
@@ -1058,7 +968,6 @@ impl DistributedCoordinator {
         coordinator.speculations.add(stats.speculations);
         coordinator.duplicate_replies.add(stats.duplicate_replies);
         coordinator.reissues.add(stats.reissues);
-        self.stats_last = stats;
         self.stats_total.accumulate(stats);
 
         // Whatever the fleet never finished goes to the caller's local
@@ -1149,22 +1058,6 @@ impl SharedCoordinator {
     /// Scheduler counters accumulated since the coordinator connected.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.lock().scheduler_stats()
-    }
-
-    /// The shard plan the underlying coordinator was built on.
-    pub fn plan(&self) -> ShardPlan {
-        self.lock().plan()
-    }
-
-    /// Applies scheduler tuning to the underlying coordinator.
-    pub fn configure(&self, microshards: Option<usize>, steal_deadline: Option<Duration>) {
-        let mut coordinator = self.lock();
-        if let Some(microshards) = microshards {
-            coordinator.set_microshards(microshards);
-        }
-        if let Some(deadline) = steal_deadline {
-            coordinator.set_steal_deadline(deadline);
-        }
     }
 }
 
@@ -1277,15 +1170,10 @@ impl Sched {
 
     /// Picks the next shard for worker `widx`: own queue, then the
     /// shared pool, then stealing a straggler's un-issued tail, then
-    /// speculative re-issue of a flight older than `deadline`. `mine` is
-    /// the set of flight ids `widx` already has in the air — a worker
-    /// never speculates against itself.
-    fn next_work(
-        &mut self,
-        widx: usize,
-        mine: &HashSet<usize>,
-        deadline: Duration,
-    ) -> Option<(usize, Range<usize>)> {
+    /// speculative re-issue of a flight older than [`STEAL_DEADLINE`].
+    /// `mine` is the set of flight ids `widx` already has in the air — a
+    /// worker never speculates against itself.
+    fn next_work(&mut self, widx: usize, mine: &HashSet<usize>) -> Option<(usize, Range<usize>)> {
         if let Some(range) = self.queues[widx].pop_front() {
             return Some(self.issue(range, widx));
         }
@@ -1335,8 +1223,8 @@ impl Sched {
                 !f.done
                     && f.issues - f.failed == 1
                     && !mine.contains(fid)
-                    && f.issued_at.elapsed() > deadline
-                    && (f.issued_at.elapsed() > 4 * deadline
+                    && f.issued_at.elapsed() > STEAL_DEADLINE
+                    && (f.issued_at.elapsed() > 4 * STEAL_DEADLINE
                         || match (my_rate, self.rates[f.owner]) {
                             (Some(me), Some(owner)) => me < owner,
                             _ => true,
@@ -1384,17 +1272,15 @@ fn sched_lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 }
 
 /// One worker's scheduler thread: keeps the RPC pipeline full from the
-/// shared queues (own → pool → steal → speculate past `deadline`),
-/// merges winning replies into `merge`, drops duplicate late replies by
-/// shard id, and reports how it ended. Never touches the coordinator —
-/// deaths, events and EWMA updates are applied post-scope from the
-/// returned [`WorkerEnd`].
-#[allow(clippy::too_many_arguments)]
+/// shared queues (own → pool → steal → speculate past
+/// [`STEAL_DEADLINE`]), merges winning replies into `merge`, drops
+/// duplicate late replies by shard id, and reports how it ended. Never
+/// touches the coordinator — deaths, events and EWMA updates are applied
+/// post-scope from the returned [`WorkerEnd`].
 fn worker_loop<T: Send>(
     remote: &mut RemoteWorker,
     widx: usize,
     rate_known: bool,
-    deadline: Duration,
     sched: &Mutex<Sched>,
     merge: &Mutex<Vec<Option<T>>>,
     build: &BuildShard<'_>,
@@ -1423,7 +1309,7 @@ fn worker_loop<T: Send>(
                 s.fail_copy(fid, Reroute::Pool);
             }
             drop(s);
-            remote.abandon();
+            remote.disconnect();
             if let Some(start) = busy_start.take() {
                 end.busy_us += us(start.elapsed());
             }
@@ -1513,7 +1399,7 @@ fn worker_loop<T: Send>(
                 let mut s = sched_lock(sched);
                 if s.active[widx] {
                     let mine: HashSet<usize> = my_flights.values().copied().collect();
-                    s.next_work(widx, &mine, deadline)
+                    s.next_work(widx, &mine)
                 } else {
                     None
                 }
@@ -1569,7 +1455,7 @@ fn worker_loop<T: Send>(
             }
             // Abandon the conversation — the worker stays alive and the
             // next generation re-dials transparently.
-            remote.abandon();
+            remote.disconnect();
             if let Some(start) = busy_start.take() {
                 end.busy_us += us(start.elapsed());
             }

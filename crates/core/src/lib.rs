@@ -57,9 +57,7 @@ pub use accel_search::{
     AccelSearchResult, AccelSearchState, CandidateEval, CandidateScore, IterationStats,
     NoValidDesign, SampledGeneration, SearchStrategy,
 };
-pub use distributed::{
-    validate_scheduler_flags, DistributedCoordinator, SchedulerStats, ShardPlan, SharedCoordinator,
-};
+pub use distributed::{DistributedCoordinator, SchedulerStats, ShardPlan, SharedCoordinator};
 pub use engine::CoSearchEngine;
 pub use gateway::{GatewayConfig, GatewayService, JobStatus};
 pub use joint::{

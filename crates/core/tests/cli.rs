@@ -116,8 +116,8 @@ fn fleet_runs_report_the_cache_mirror_without_a_hit_rate() {
 }
 
 /// Runs `naas-search` with `args` against a listener standing in for a
-/// worker, and asserts it exits non-zero with `flag` named on stderr
-/// before any worker was dialed (nothing reached the listener).
+/// worker, and asserts it exits 2 (a usage error) with `flag` named on
+/// stderr before any worker was dialed (nothing reached the listener).
 fn assert_refused_before_dialing(args: &[&str], flag: &str) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap().to_string();
@@ -125,7 +125,11 @@ fn assert_refused_before_dialing(args: &[&str], flag: &str) {
     full.extend_from_slice(&["--workers", &addr]);
     let output = naas_search_output(&full);
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!output.status.success(), "{full:?} must be refused");
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "{full:?} must be refused as a usage error:\n{stderr}"
+    );
     assert!(
         stderr.contains(flag),
         "{full:?}: the error must name {flag}:\n{stderr}"
@@ -137,11 +141,11 @@ fn assert_refused_before_dialing(args: &[&str], flag: &str) {
     );
 }
 
-/// A flag the subcommand does not read is a usage error naming it —
-/// a typo, and a flag this build retired — and so are a flag given
-/// twice and an explicit `--microshards 0`, the retired static plan.
-/// Each is refused before any worker is dialed, on `run` and on
-/// `gateway`.
+/// A flag the subcommand does not read is a usage error naming it — a
+/// typo, and the flags this build retired (`--overlap`, and the
+/// scheduler's `--microshards` and `--steal-deadline`, whatever their
+/// value) — and so is a flag given twice. Each is refused before any
+/// worker is dialed, on `run`, `resume` and `gateway`.
 #[test]
 fn unknown_retired_and_degenerate_flags_are_refused_before_dialing() {
     let run = ["run", "cifar-eyeriss", "--preset", "smoke"];
@@ -156,6 +160,9 @@ fn unknown_retired_and_degenerate_flags_are_refused_before_dialing() {
     let zero = [&run[..], &["--microshards", "0"]].concat();
     assert_refused_before_dialing(&zero, "--microshards");
     assert_refused_before_dialing(&["gateway", "--microshards", "0"], "--microshards");
+    assert_refused_before_dialing(&["gateway", "--microshards", "6"], "--microshards");
+    let resume = ["resume", "missing.ckpt", "--steal-deadline", "50"];
+    assert_refused_before_dialing(&resume, "--steal-deadline");
     assert_refused_before_dialing(&["gateway", "--wokers", "2"], "--wokers");
 }
 
@@ -171,11 +178,12 @@ fn smoke_config(seed: u64) -> naas::AccelSearchConfig {
     cfg
 }
 
-/// A checkpoint written before the static plan and the overlap flag
-/// were retired — its shard plan records `"microshards": 0` and
-/// `"overlap": true` — still resumes over the recorded fleet, on the
-/// default micro-shard plan, to the uninterrupted run's result; the
-/// checkpoint it rewrites records the default and no `overlap`.
+/// A checkpoint written before the static plan, the overlap flag and
+/// the scheduler flags were retired — its shard plan records
+/// `"microshards": 0`, `"steal_deadline_ms": 500` and `"overlap": true`
+/// — still resumes over the recorded fleet, on the fixed scheduler, to
+/// the uninterrupted run's result; the checkpoint it rewrites records
+/// only the workers.
 #[test]
 fn retired_static_overlapped_plan_resumes_on_the_default() {
     let expected = result_block(&run_search(&[]));
@@ -226,11 +234,9 @@ fn retired_static_overlapped_plan_resumes_on_the_default() {
     let shards = rewritten
         .get("shards")
         .expect("a fleet run records its plan");
-    assert_eq!(
-        shards.get("microshards"),
-        Some(&Value::U64(naas::distributed::DEFAULT_MICROSHARDS as u64))
-    );
-    assert!(shards.get("overlap").is_none(), "{shards:?}");
+    for retired in ["overlap", "microshards", "steal_deadline_ms"] {
+        assert!(shards.get(retired).is_none(), "{retired}: {shards:?}");
+    }
     let _ = std::fs::remove_file(path);
 }
 

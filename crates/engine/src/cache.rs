@@ -207,12 +207,12 @@ type Shard<V> = Mutex<ShardState<V>>;
 /// # Examples
 ///
 /// Persistence round-trip: a cache saved with [`MemoCache::save_to`]
-/// warm-loads into a fresh process with [`MemoCache::load_from`], and
-/// warmed entries are served without recomputation (content-addressed,
-/// so warming never changes any answer):
+/// warm-loads into a fresh process by [`MemoCache::absorb`]ing the loaded
+/// snapshot, and warmed entries are served without recomputation
+/// (content-addressed, so warming never changes any answer):
 ///
 /// ```
-/// use naas_engine::{LayerKey, MemoCache};
+/// use naas_engine::{checkpoint, LayerKey, MemoCache};
 ///
 /// let layer = naas_ir::ConvSpec::conv2d("l", 8, 8, (8, 8), (3, 3), 1, 1).unwrap();
 /// let key = LayerKey::of(&layer);
@@ -224,7 +224,7 @@ type Shard<V> = Mutex<ShardState<V>>;
 /// cache.save_to(&path)?;
 ///
 /// let warm: MemoCache<u64> = MemoCache::new();
-/// assert_eq!(warm.load_from(&path)?, 1); // one entry absorbed
+/// assert_eq!(warm.absorb(checkpoint::load(&path)?), 1); // one entry absorbed
 /// assert_eq!(warm.get_or_compute(7, key, || unreachable!("served warm")), 42);
 /// # std::fs::remove_file(&path).ok();
 /// # Ok::<(), naas_engine::CheckpointError>(())
@@ -506,20 +506,6 @@ impl<V: Clone + Serialize> MemoCache<V> {
     }
 }
 
-impl<V: Clone + Deserialize> MemoCache<V> {
-    /// Warm-loads entries previously saved with [`MemoCache::save_to`].
-    /// Returns how many entries were absorbed.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] if the file cannot be read,
-    /// [`CheckpointError::Format`] if it does not decode as a snapshot.
-    pub fn load_from(&self, path: &Path) -> Result<usize, CheckpointError> {
-        let snapshot: CacheSnapshot<V> = checkpoint::load(path)?;
-        Ok(self.absorb(snapshot))
-    }
-}
-
 /// A serializable image of a [`MemoCache`]'s initialized entries: the
 /// warm-start file format of `--cache-file`. Soundness carries over from
 /// the cache itself — entries are pure functions of `(design fingerprint,
@@ -756,7 +742,7 @@ mod tests {
         assert!(resident.entries.len() <= 8);
         let warm: MemoCache<u64> = MemoCache::new();
         warm.set_entry_cap(4);
-        warm.load_from(&path).unwrap();
+        warm.absorb(checkpoint::load(&path).unwrap());
         assert!(warm.len() <= 4, "absorb must honour the cap");
         for (fp, k, v) in &warm.snapshot().entries {
             // Whatever survived still answers exactly what was saved.
@@ -775,7 +761,7 @@ mod tests {
             std::env::temp_dir().join(format!("naas-engine-cache-{}.json", std::process::id()));
         cache.save_to(&path).unwrap();
         let warm: MemoCache<u64> = MemoCache::new();
-        assert_eq!(warm.load_from(&path).unwrap(), 2);
+        assert_eq!(warm.absorb(checkpoint::load(&path).unwrap()), 2);
         assert_eq!(warm.peek(5, &key(8, 16)), Some(123));
         assert_eq!(warm.peek(6, &key(4, 4)), Some(456));
         std::fs::remove_file(&path).ok();

@@ -271,15 +271,6 @@ impl RemoteWorker {
         self.pending.clear();
     }
 
-    /// Alias of [`RemoteWorker::disconnect`] that reads as what the
-    /// scheduler means by it: give up on this conversation (typically a
-    /// hung worker whose outstanding shards were already re-issued
-    /// elsewhere) without declaring the worker dead. The next
-    /// generation's first `send`/`call` transparently re-dials.
-    pub fn abandon(&mut self) {
-        self.disconnect();
-    }
-
     /// Number of pipelined requests written but not yet answered.
     pub fn pending(&self) -> usize {
         self.pending.len()
@@ -801,11 +792,11 @@ mod tests {
     }
 
     #[test]
-    fn abandon_forgets_the_pipeline_without_killing_the_handle() {
+    fn disconnect_forgets_the_pipeline_without_killing_the_handle() {
         let addr = scripted_server(vec![Some(r#"{"id":2,"ok":true,"result":null}"#.into())]);
         let mut worker = RemoteWorker::new(&addr);
         worker.send("ping", vec![]).unwrap();
-        worker.abandon();
+        worker.disconnect();
         assert_eq!(worker.pending(), 0);
         assert!(!worker.is_connected());
         // The handle stays usable: the next call re-dials. (The scripted

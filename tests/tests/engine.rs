@@ -211,7 +211,7 @@ fn persisted_cache_warm_loads_with_identical_results() {
     cold_engine.cache().save_to(&path).expect("cache saves");
 
     let warm_engine = CoSearchEngine::new(cfg.threads);
-    let absorbed = warm_engine.cache().load_from(&path).expect("cache loads");
+    let absorbed = warm_engine.load_cache_file(&path).expect("cache loads");
     std::fs::remove_file(&path).ok();
     assert_eq!(absorbed as u64, cold_engine.cache_stats().entries);
 
