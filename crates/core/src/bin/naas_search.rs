@@ -45,8 +45,8 @@
 //!
 //! `serve` starts the batch-evaluation service: one warm engine (shared
 //! mapping cache, work-stealing pool) answering JSONL requests on
-//! stdin/stdout and — with `--port` — on a TCP socket, coalescing
-//! concurrent in-flight requests into batched pipeline calls. See
+//! stdin/stdout and — with `--port` — on TCP connections, each stream
+//! answered in request order on its own thread. See
 //! `naas::service` for the protocol and `docs/PROTOCOL.md` for the wire
 //! spec. `client` connects to a serving process and bridges stdin/stdout
 //! to it.
@@ -820,9 +820,8 @@ fn serve_stdio_and_tcp<S: naas::WireService>(args: &Args, server: naas::ServiceS
             let listener = bind_listener(args, port);
             let server = std::sync::Arc::new(server);
             let tcp = {
-                // One thread per connection inside `serve_listener`;
-                // requests from every connection coalesce in the shared
-                // batcher.
+                // One thread per connection inside `serve_listener`,
+                // each answering its own requests.
                 let server = std::sync::Arc::clone(&server);
                 std::thread::spawn(move || match server.serve_listener(listener) {
                     Ok(_) => finish_and_exit(&server),
@@ -864,8 +863,8 @@ fn bind_listener(args: &Args, port: u16) -> std::net::TcpListener {
 /// distributed `run --workers` coordinator. Accepts connections (on
 /// `--bind`, default loopback — use `--bind 0.0.0.0` for a
 /// multi-machine fleet) until a `shutdown` command arrives on any of
-/// them, then drains every queued request, persists the cache and
-/// exits. Stdin is untouched, so workers background cleanly
+/// them, then finishes every answer in progress, persists the cache
+/// and exits. Stdin is untouched, so workers background cleanly
 /// (`naas-search worker --port 4801 &`).
 fn cmd_worker(args: &Args) {
     let port: u16 = args
@@ -911,9 +910,9 @@ fn cmd_gateway(args: &Args) {
 }
 
 /// The shutdown path shared by `serve --port`, `worker` and `gateway`:
-/// drain the batcher (every queued request across all connections gets
-/// its response computed and handed to its stream), persist the cache,
-/// then exit 0. The stream that requested shutdown is fully flushed
+/// drain the server (every answer in progress on any connection
+/// finishes, and later lines are refused), persist the cache, then
+/// exit 0. The stream that requested shutdown is fully flushed
 /// before this runs; sibling connections get a grace period to flush
 /// their final responses — best-effort, since a sibling stalled on TCP
 /// backpressure cannot be waited out forever.

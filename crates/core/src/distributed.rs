@@ -164,7 +164,7 @@ pub const CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(
 
 /// Micro-shards per live worker. Enough granularity for the fleet to
 /// rebalance around a 4× straggler, few enough that the per-request
-/// overhead (JSON framing, batcher wakeups) stays noise.
+/// overhead (JSON framing, a round trip) stays noise.
 const MICROSHARDS_PER_WORKER: usize = 6;
 
 /// Age past which an in-flight shard on a slower worker is

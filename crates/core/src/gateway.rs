@@ -54,11 +54,11 @@ use crate::accel_search::{
 };
 use crate::distributed::SharedCoordinator;
 use crate::joint::{joint_search_init, joint_search_step, JointConfig, JointSearchState};
-use crate::service::{BatchEvalService, WireService};
+use crate::service::{answer_contained, panic_message, BatchEvalService, WireService};
 use naas_cost::CostModel;
-use naas_engine::service::{error_line, ok_line, ParseFailure, Request};
+use naas_engine::service::{ParseFailure, Request};
 use naas_engine::telemetry::metrics;
-use naas_engine::{scenario, CheckpointError, EvalJob};
+use naas_engine::{CheckpointError, EvalJob};
 use naas_nas::AccuracyModel;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -189,8 +189,9 @@ struct Job {
     /// The submitted `scenario` parameter, verbatim — shipped per step
     /// when the gateway runs over a shared fleet.
     scenario_value: Value,
-    /// The scenario's benchmark suite (accel jobs step against it).
-    networks: Arc<Vec<naas_ir::Network>>,
+    /// The resolved scenario, from the wrapped service's memo; accel
+    /// jobs step against its benchmark suite.
+    scenario: Arc<EvalJob>,
     /// Parked between generations; taken (`None`) while an executor
     /// steps it.
     state: Option<JobState>,
@@ -236,8 +237,8 @@ struct GatewayCore {
 
 /// A job-multiplexing service: the `job_*` commands plus everything the
 /// wrapped [`BatchEvalService`] answers. Serve it exactly like the base
-/// service — `ServiceServer::start(Arc::new(gateway))` — the stream,
-/// batcher and listener plumbing is shared via [`WireService`].
+/// service — `ServiceServer::start(Arc::new(gateway))` — the stream and
+/// listener plumbing is shared via [`WireService`].
 pub struct GatewayService {
     core: Arc<GatewayCore>,
     executors: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -330,26 +331,11 @@ impl Drop for GatewayService {
 
 impl WireService for GatewayService {
     fn answer(&self, parsed: &Result<Request, ParseFailure>) -> String {
-        let request = match parsed {
-            Ok(request) => request,
-            Err(failure) => return error_line(&failure.id, &failure.message),
-        };
-        if !is_job_command(&request.cmd) && request.cmd != "hello" {
-            return self.core.inner.answer(parsed);
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.core.handle(request)));
-        match outcome {
-            Ok(Ok(result)) => ok_line(&request.id, result),
-            Ok(Err(message)) => error_line(&request.id, &message),
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .map(str::to_string)
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                error_line(&request.id, &format!("internal panic: {message}"))
+        match parsed {
+            Ok(request) if is_job_command(&request.cmd) || request.cmd == "hello" => {
+                answer_contained(request, || self.core.handle(request))
             }
+            _ => self.core.inner.answer(parsed),
         }
     }
 
@@ -464,7 +450,10 @@ impl GatewayCore {
             Some(Value::Str(kind)) => kind.clone(),
             Some(_) => return Err("bad request: `kind` must be a string".into()),
         };
-        let (scenario_value, eval_job) = self.resolve_scenario(request)?;
+        let eval_job = self
+            .inner
+            .resolve_scenario(request)
+            .map_err(|e| e.to_string())?;
         let state = match kind.as_str() {
             "accel" => {
                 let cfg: AccelSearchConfig = match request.param("config") {
@@ -515,8 +504,11 @@ impl GatewayCore {
             tenant: tenant.clone(),
             weight,
             status: JobStatus::Queued,
-            scenario_value,
-            networks: Arc::new(eval_job.networks.clone()),
+            scenario_value: request
+                .param("scenario")
+                .cloned()
+                .expect("a resolved scenario was given"),
+            scenario: eval_job,
             state: Some(state),
             issued: 0,
             generation: 0,
@@ -566,31 +558,6 @@ impl GatewayCore {
                 Value::Str(JobStatus::Queued.as_str().to_string()),
             ),
         ]))
-    }
-
-    /// The gateway's own scenario resolution (the wrapped service's is
-    /// private and memoized per-request; a job resolves once at
-    /// admission). Returns the verbatim parameter too — it travels with
-    /// every fleet step so remote workers resolve the same scenario.
-    fn resolve_scenario(&self, request: &Request) -> Result<(Value, EvalJob), String> {
-        let value = request
-            .param("scenario")
-            .ok_or_else(|| {
-                "bad request: `scenario` (name or scenario object) is required".to_string()
-            })?
-            .clone();
-        let scenario = match &value {
-            Value::Str(name) => {
-                scenario::find(name).ok_or_else(|| format!("not found: scenario `{name}`"))?
-            }
-            Value::Object(_) => serde_json::from_value::<naas_engine::Scenario>(&value)
-                .map_err(|e| format!("bad request: invalid scenario object: {e}"))?,
-            _ => return Err("bad request: `scenario` must be a name or an object".into()),
-        };
-        let eval_job = scenario
-            .resolve()
-            .map_err(|e| format!("evaluation failed: {e}"))?;
-        Ok((value, eval_job))
     }
 
     fn job_id_param(&self, request: &Request) -> Result<u64, String> {
@@ -726,7 +693,7 @@ impl GatewayCore {
                             job_id,
                             tenant: job.tenant.clone(),
                             scenario_value: job.scenario_value.clone(),
-                            networks: Arc::clone(&job.networks),
+                            scenario: Arc::clone(&job.scenario),
                         };
                         update_gauges(&sched);
                         break Some((ctx, state));
@@ -798,10 +765,10 @@ impl GatewayCore {
                     ctx.scenario_value.clone(),
                     engine,
                     &self.model,
-                    &ctx.networks,
+                    &ctx.scenario.networks,
                     state,
                 ),
-                None => accel_search_step(engine, &self.model, &ctx.networks, state),
+                None => accel_search_step(engine, &self.model, &ctx.scenario.networks, state),
             },
             JobState::Joint(state) => match &self.fleet {
                 Some(fleet) => fleet.step_joint(engine, &self.model, &self.accuracy, state),
@@ -820,14 +787,8 @@ impl GatewayCore {
         };
         match stepped {
             Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .map(str::to_string)
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
                 job.status = JobStatus::Failed;
-                job.error = Some(format!("generation panicked: {message}"));
+                job.error = Some(format!("generation panicked: {}", panic_message(&*payload)));
                 job.events.push(lifecycle_event(job.generation, "failed"));
                 metrics().gateway.jobs_failed.inc();
             }
@@ -878,7 +839,7 @@ struct StepContext {
     job_id: u64,
     tenant: String,
     scenario_value: Value,
-    networks: Arc<Vec<naas_ir::Network>>,
+    scenario: Arc<EvalJob>,
 }
 
 /// Recomputes the point-in-time job gauges. Call with the scheduler

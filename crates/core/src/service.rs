@@ -7,9 +7,9 @@
 //! most traffic without recomputing anything. [`BatchEvalService`] keeps
 //! exactly one engine resident — the shared [`MemoCache`] and the
 //! work-stealing pool; evaluation runs through thread-local
-//! `EvalPipeline`s, recycled across every request of a coalesced batch
-//! (a persistent cross-batch worker pool is future work) — and exposes
-//! the library's evaluation entry points as service commands:
+//! `EvalPipeline`s, recycled across every request a thread answers) —
+//! and exposes the library's evaluation entry points as service
+//! commands:
 //!
 //! | command          | answers                                             |
 //! |------------------|-----------------------------------------------------|
@@ -29,14 +29,13 @@
 //! [`BatchEvalService`]'s `evaluate_shard`). The full wire spec is
 //! `docs/PROTOCOL.md`.
 //!
-//! Concurrent in-flight requests are coalesced by the engine's
-//! [`Batcher`] and fanned out over the pool in one `parallel_map` call
-//! per batch ([`ServiceServer`]), so service throughput rides the same
-//! batched pipeline as an in-process population evaluation. Because
-//! every answer is a pure function of the request (content-addressed
-//! cache, content-derived seeds), a served response is **bit-identical**
-//! to the equivalent direct library call, at any concurrency, cold or
-//! warm.
+//! [`ServiceServer`] answers each stream's requests one at a time, in
+//! order, on the thread that reads them; separate streams (connections)
+//! run concurrently, and `evaluate_shard` fans its candidates over the
+//! pool. Because every answer is a pure function of the request
+//! (content-addressed cache, content-derived seeds), a served response
+//! is **bit-identical** to the equivalent direct library call, at any
+//! concurrency, cold or warm.
 //!
 //! A panicking request handler is contained by `catch_unwind` and
 //! reported as an error response — one bad request must not abort a
@@ -50,19 +49,21 @@ use crate::mapping_search::{self, MappingSearchConfig};
 use crate::reward::RewardKind;
 use naas_accel::Accelerator;
 use naas_cost::{CostModel, LayerCost};
-use naas_engine::service::{error_line, ok_line, Batcher, ParseFailure, Request};
+use naas_engine::service::{error_line, ok_line, ParseFailure, Request};
 use naas_engine::telemetry;
 use naas_engine::{parallel_map, scenario, CheckpointError};
 use naas_ir::{ConvKind, ConvSpec};
 use naas_mapping::Mapping;
 use naas_nas::{AccuracyModel, NasConfig};
 use serde::{Deserialize, Serialize, Value};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Why a request could not be answered. Every variant maps to an error
 /// *response* on the wire — never a panic, never a dropped connection.
@@ -126,19 +127,20 @@ pub struct ServiceConfig {
 /// `job_*` command family advertise it.
 pub const CAPABILITIES: &[&str] = &["evaluate_shard", "joint", "metrics", "objectives"];
 
-/// What the stream/batcher plumbing ([`ServiceServer`]) needs from a
-/// service: answer one framed request line, size the batch fan-out, and
-/// persist state on graceful shutdown. [`BatchEvalService`] is the base
-/// implementation; [`crate::gateway::GatewayService`] layers the job
-/// commands on top and reuses every byte of the server plumbing —
-/// stream framing, coalescing, ordered writes, listener lifecycle —
-/// unchanged.
+/// What the stream plumbing ([`ServiceServer`]) needs from a service:
+/// answer one framed request line, and persist state on graceful
+/// shutdown. [`BatchEvalService`] is the base implementation;
+/// [`crate::gateway::GatewayService`] layers the job commands on top
+/// and reuses every byte of the server plumbing — stream framing,
+/// ordered writes, drain, listener lifecycle — unchanged.
 pub trait WireService: Send + Sync + 'static {
     /// Answers one parsed request line with one response line. Must
     /// contain handler panics (see [`BatchEvalService::answer`]) — one
     /// bad request must never abort a shared process.
     fn answer(&self, parsed: &Result<Request, ParseFailure>) -> String;
-    /// Worker threads for the scheduler's batch fan-out.
+    /// Worker threads of the service's pool, which `evaluate_shard`
+    /// fans its candidates over. The server plumbing does not read it:
+    /// each stream is answered on its own thread.
     fn threads(&self) -> usize;
     /// Persists durable state (the memo cache) on graceful shutdown.
     ///
@@ -198,8 +200,8 @@ pub struct BatchEvalService {
     /// would be pure repeated work on the generation barrier. Bounded
     /// by the number of *distinct* scenarios a service ever sees.
     resolved_scenarios: std::sync::Mutex<BTreeMap<u64, Arc<naas_engine::EvalJob>>>,
-    /// Serializes the injected `eval_delay_us` sleeps: the batcher runs
-    /// concurrent shard requests in parallel, but a genuinely slow
+    /// Serializes the injected `eval_delay_us` sleeps: separate
+    /// connections' shard requests run in parallel, but a genuinely slow
     /// machine is slow *in total*, not per-stream — so throttled
     /// requests queue on this gate one at a time.
     delay_gate: std::sync::Mutex<()>,
@@ -322,29 +324,15 @@ impl BatchEvalService {
     }
 
     /// [`BatchEvalService::respond`] on an already-parsed request — the
-    /// server path, which frames each line once in the stream reader and
-    /// carries the parse through the batcher (a batched `evaluate_batch`
-    /// request is mostly parse cost; parsing twice would double it).
+    /// server path, which frames each line once in the stream reader
+    /// (the reader needs the parse itself to spot `shutdown`, and parsing
+    /// a large `evaluate_batch` request twice would double its cost).
     pub fn answer(&self, parsed: &Result<Request, ParseFailure>) -> String {
-        let request = match parsed {
-            Ok(request) => request,
+        match parsed {
+            Ok(request) => answer_contained(request, || self.handle(request)),
             // Echo whatever id could be recovered from the malformed
             // line, so a pipelining client can still correlate the error.
-            Err(failure) => return error_line(&failure.id, &failure.message),
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.handle(request)));
-        match outcome {
-            Ok(Ok(result)) => ok_line(&request.id, result),
-            Ok(Err(e)) => error_line(&request.id, &e.to_string()),
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .map(str::to_string)
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                error_line(&request.id, &format!("internal panic: {message}"))
-            }
+            Err(failure) => error_line(&failure.id, &failure.message),
         }
     }
 
@@ -454,7 +442,7 @@ impl BatchEvalService {
     /// distributed run names the same scenario) reuses the built suite.
     ///
     /// [`Scenario`]: naas_engine::Scenario
-    fn resolve_scenario(
+    pub(crate) fn resolve_scenario(
         &self,
         request: &Request,
     ) -> Result<Arc<naas_engine::EvalJob>, ServiceError> {
@@ -870,26 +858,37 @@ fn incumbent_candidates(
         .collect()
 }
 
-/// One queued request: the framed request (parsed once, in the stream
-/// reader), its position in its stream, and the channel its response
-/// goes back on.
-pub struct InFlight {
-    /// The parsed request, or the parse failure to report.
-    pub request: Result<Request, ParseFailure>,
-    /// Stream-local sequence number, used to restore request order on
-    /// the way out.
-    pub seq: u64,
-    /// Response channel back to the owning stream.
-    pub reply: mpsc::Sender<(u64, String)>,
+/// Answers `request` with `handle`'s outcome, containing a panic inside
+/// it as an `internal panic: …` error response — one bad request must
+/// never abort a process other clients share.
+pub(crate) fn answer_contained<E: fmt::Display>(
+    request: &Request,
+    handle: impl FnOnce() -> Result<Value, E>,
+) -> String {
+    match catch_unwind(AssertUnwindSafe(handle)) {
+        Ok(Ok(result)) => ok_line(&request.id, result),
+        Ok(Err(e)) => error_line(&request.id, &e.to_string()),
+        Err(payload) => error_line(
+            &request.id,
+            &format!("internal panic: {}", panic_message(&*payload)),
+        ),
+    }
 }
 
-/// The coalescing scheduler: one thread draining the shared [`Batcher`],
-/// fanning every drained batch over the service's worker pool.
-///
-/// Request streams ([`ServiceServer::serve_stream`]) push lines as fast
-/// as they arrive; whatever is in flight when the scheduler comes
-/// around — across *all* connections — is answered in one
-/// `parallel_map` call.
+/// The message a caught panic carried (`panic!` payloads are a `&str`
+/// or a `String`).
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|message| message.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string())
+}
+
+/// The stream plumbing over a [`WireService`]: each request stream
+/// ([`ServiceServer::serve_stream`]) is answered one line at a time, in
+/// order, on the thread that reads it, and separate streams (stdin, TCP
+/// connections) run concurrently on their own threads.
 ///
 /// Generic over the [`WireService`] behind it (defaulting to
 /// [`BatchEvalService`]): the gateway serves its job commands through
@@ -897,42 +896,21 @@ pub struct InFlight {
 /// `ServiceServer<GatewayService>`.
 pub struct ServiceServer<S: WireService = BatchEvalService> {
     service: Arc<S>,
-    batcher: Arc<Batcher<InFlight>>,
-    scheduler: Option<std::thread::JoinHandle<()>>,
-    drained: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+    /// Set when [`ServiceServer::drain`] begins; a line read after that
+    /// is refused.
+    closing: AtomicBool,
+    /// Held shared around every answer, and exclusively by
+    /// [`ServiceServer::drain`] to wait out the answers in progress.
+    gate: RwLock<()>,
 }
 
 impl<S: WireService> ServiceServer<S> {
-    /// Starts the scheduler thread over `service`.
+    /// Starts serving `service`.
     pub fn start(service: Arc<S>) -> Self {
-        let batcher: Arc<Batcher<InFlight>> = Arc::new(Batcher::new());
-        let drained = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-        let scheduler = {
-            let service = Arc::clone(&service);
-            let batcher = Arc::clone(&batcher);
-            let drained = Arc::clone(&drained);
-            std::thread::spawn(move || {
-                while let Some(batch) = batcher.next_batch() {
-                    // `answer` contains panics internally, so this fan-out
-                    // cannot bring the scheduler down.
-                    let responses = parallel_map(service.threads(), &batch, |_, job: &InFlight| {
-                        service.answer(&job.request)
-                    });
-                    for (job, response) in batch.into_iter().zip(responses) {
-                        // A client that hung up mid-request is not an error.
-                        let _ = job.reply.send((job.seq, response));
-                    }
-                }
-                let (flag, signal) = &*drained;
-                *flag.lock().unwrap_or_else(|p| p.into_inner()) = true;
-                signal.notify_all();
-            })
-        };
         ServiceServer {
             service,
-            batcher,
-            scheduler: Some(scheduler),
-            drained,
+            closing: AtomicBool::new(false),
+            gate: RwLock::new(()),
         }
     }
 
@@ -941,35 +919,31 @@ impl<S: WireService> ServiceServer<S> {
         &self.service
     }
 
-    /// Enqueues one raw request line; the response arrives on `reply`
-    /// tagged with `seq`. Returns `false` if the server is shutting
-    /// down.
-    pub fn submit(&self, line: String, seq: u64, reply: mpsc::Sender<(u64, String)>) -> bool {
-        self.batcher.push(InFlight {
-            request: Request::parse(&line),
-            seq,
-            reply,
-        })
+    /// Refuses new work and blocks until every answer in progress has
+    /// been computed; a line read from now on, on any stream, is
+    /// answered `server is shutting down`. Used by the `--port` server
+    /// before process exit, where the blocked accept loop prevents a
+    /// consuming [`ServiceServer::stop`].
+    pub fn drain(&self) {
+        self.closing.store(true, Ordering::SeqCst);
+        // An answer re-checks `closing` under its shared guard, so once
+        // the exclusive guard is ours none is running and none can start.
+        drop(self.gate.write().unwrap_or_else(PoisonError::into_inner));
     }
 
-    /// Refuses new work and blocks until every queued request has been
-    /// answered (responses handed to their streams' channels). Used by
-    /// the `--port` server before process exit, where the blocked accept
-    /// loop prevents a consuming [`ServiceServer::stop`].
-    pub fn drain(&self) {
-        self.batcher.close();
-        let (flag, signal) = &*self.drained;
-        let mut done = flag.lock().unwrap_or_else(|p| p.into_inner());
-        while !*done {
-            done = signal.wait(done).unwrap_or_else(|p| p.into_inner());
+    /// Answers one framed line, or `None` once the server is closing.
+    fn answer(&self, request: &Result<Request, ParseFailure>) -> Option<String> {
+        let _answering = self.gate.read().unwrap_or_else(PoisonError::into_inner);
+        if self.closing.load(Ordering::SeqCst) {
+            return None;
         }
+        Some(self.service.answer(request))
     }
 
     /// Serves one request stream (stdin/stdout, a TCP connection):
-    /// reads JSONL requests until EOF or a `shutdown` command, writes
-    /// every response in request order. Reading and writing overlap, so
-    /// a pipelining client keeps many requests in flight and they
-    /// coalesce into shared batches with every other stream.
+    /// reads JSONL requests until EOF or a `shutdown` command, answering
+    /// each before reading the next, so responses are written in request
+    /// order. A client must read responses while it writes requests.
     ///
     /// Returns `true` when the stream requested shutdown.
     ///
@@ -978,98 +952,42 @@ impl<S: WireService> ServiceServer<S> {
     /// Propagates I/O failures on the stream itself.
     pub fn serve_stream<R, W>(&self, reader: R, mut writer: W) -> std::io::Result<bool>
     where
-        R: BufRead + Send,
+        R: BufRead,
         W: Write,
     {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let (tx, rx) = mpsc::channel::<(u64, String)>();
-        let shutdown = AtomicBool::new(false);
-        let shutdown_flag = &shutdown;
-        // Set by the writer side on an I/O failure, so the reader stops
-        // feeding a stream whose responses can no longer be delivered
-        // (it notices at its next line boundary).
-        let stream_dead = AtomicBool::new(false);
-        let stream_dead_flag = &stream_dead;
-        let result: std::io::Result<()> = std::thread::scope(|scope| {
-            let reader_tx = tx;
-            let reader_handle = scope.spawn(move || {
-                let mut seq = 0u64;
-                for line in reader.lines() {
-                    let line = match line {
-                        Ok(line) => line,
-                        Err(e) => return Err(e),
-                    };
-                    if stream_dead_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    // Frame once here; the parse travels with the job.
-                    let request = Request::parse(&line);
-                    let wants_shutdown =
-                        matches!(&request, Ok(request) if request.cmd == "shutdown");
-                    let id = match &request {
-                        Ok(request) => request.id.clone(),
-                        Err(failure) => failure.id.clone(),
-                    };
-                    let accepted = self.batcher.push(InFlight {
-                        request,
-                        seq,
-                        reply: reader_tx.clone(),
-                    });
-                    if !accepted {
-                        // Server closing: the line was consumed, so it
-                        // still gets a response (every consumed line
-                        // must be answered, or a pipelining client
-                        // deadlocks), then stop reading.
-                        let _ = reader_tx.send((seq, error_line(&id, "server is shutting down")));
-                        break;
-                    }
-                    seq += 1;
-                    if wants_shutdown {
-                        shutdown_flag.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                }
-                Ok(())
-            });
-            // The reader's `tx` clones die with it and with each answered
-            // request, so this loop ends exactly when every submitted
-            // request has been answered and the reader is done.
-            let mut next_seq = 0u64;
-            let mut pending: BTreeMap<u64, String> = BTreeMap::new();
-            let mut write_error: Option<std::io::Error> = None;
-            for (seq, response) in rx {
-                if write_error.is_some() {
-                    continue; // keep draining so the channel empties
-                }
-                pending.insert(seq, response);
-                while let Some(response) = pending.remove(&next_seq) {
-                    if let Err(e) = writeln!(writer, "{response}").and_then(|_| writer.flush()) {
-                        stream_dead_flag.store(true, Ordering::SeqCst);
-                        write_error = Some(e);
-                        break;
-                    }
-                    next_seq += 1;
-                }
+        for line in reader.lines() {
+            let line = line?;
+            if line.trim().is_empty() {
+                continue;
             }
-            reader_handle.join().expect("stream reader panicked")?;
-            match write_error {
-                Some(e) => Err(e),
-                None => Ok(()),
+            let request = Request::parse(&line);
+            let Some(response) = self.answer(&request) else {
+                // Server closing: the line was consumed, so it still
+                // gets a response (every consumed line must be
+                // answered, or a pipelining client deadlocks), then the
+                // stream stops being read.
+                let id = match &request {
+                    Ok(request) => &request.id,
+                    Err(failure) => &failure.id,
+                };
+                writeln!(writer, "{}", error_line(id, "server is shutting down"))?;
+                writer.flush()?;
+                return Ok(false);
+            };
+            writeln!(writer, "{response}")?;
+            writer.flush()?;
+            if matches!(&request, Ok(request) if request.cmd == "shutdown") {
+                return Ok(true);
             }
-        });
-        result?;
-        Ok(shutdown.load(std::sync::atomic::Ordering::SeqCst))
+        }
+        Ok(false)
     }
 
     /// Accepts TCP connections on `listener` and serves each on its own
     /// thread ([`ServiceServer::serve_stream`]) until some stream issues
     /// a `shutdown` command. This is the whole of `naas-search worker`:
-    /// a coordinator (or several) connects, fans `evaluate_shard`
-    /// requests in, and requests from every connection
-    /// coalesce in the shared batcher like any other service traffic.
+    /// a coordinator (or several) connects and fans `evaluate_shard`
+    /// requests in, each connection answered on its own thread.
     ///
     /// Returns `Ok(true)` after a shutdown request (the requesting
     /// stream's responses are already flushed; the caller should
@@ -1087,7 +1005,6 @@ impl<S: WireService> ServiceServer<S> {
         self: &Arc<Self>,
         listener: std::net::TcpListener,
     ) -> std::io::Result<bool> {
-        use std::sync::atomic::{AtomicBool, Ordering};
         let stop = Arc::new(AtomicBool::new(false));
         listener.set_nonblocking(true)?;
         loop {
@@ -1141,27 +1058,15 @@ impl<S: WireService> ServiceServer<S> {
         }
     }
 
-    /// Stops accepting work, drains the queue, joins the scheduler and
-    /// persists the service cache.
+    /// Stops accepting work ([`ServiceServer::drain`]) and persists the
+    /// service cache.
     ///
     /// # Errors
     ///
     /// Propagates a cache-file write failure.
-    pub fn stop(mut self) -> Result<(), CheckpointError> {
-        self.batcher.close();
-        if let Some(handle) = self.scheduler.take() {
-            handle.join().expect("service scheduler panicked");
-        }
+    pub fn stop(self) -> Result<(), CheckpointError> {
+        self.drain();
         self.service.persist_cache()
-    }
-}
-
-impl<S: WireService> Drop for ServiceServer<S> {
-    fn drop(&mut self) {
-        self.batcher.close();
-        if let Some(handle) = self.scheduler.take() {
-            let _ = handle.join();
-        }
     }
 }
 

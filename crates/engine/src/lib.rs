@@ -18,9 +18,8 @@
 //!   state, restoring searches bit-exactly after interruption;
 //! * [`scenario`] — declaratively registered evaluation workloads
 //!   resolved into networks + resource envelopes;
-//! * [`service`] — the JSON-lines wire protocol and the coalescing
-//!   request [`Batcher`] under the batch-evaluation service mode
-//!   (`naas-search serve`);
+//! * [`service`] — the JSON-lines wire protocol under the
+//!   batch-evaluation service mode (`naas-search serve`);
 //! * [`remote`] — the client side of the same wire protocol: a blocking
 //!   JSONL RPC handle on a remote worker process, under the distributed
 //!   search coordinator (`naas-search run --workers`);
@@ -67,7 +66,7 @@ pub use fingerprint::{derive_seed, fingerprint};
 pub use pool::{parallel_map, resolve_threads};
 pub use remote::{RemoteError, RemoteWorker};
 pub use scenario::{EvalJob, NetworkSpec, Scenario, ScenarioError};
-pub use service::{Batcher, ParseFailure, Request, PROTOCOL_VERSION};
+pub use service::{ParseFailure, Request, PROTOCOL_VERSION};
 pub use telemetry::{EventLog, Level, Metrics, MetricsSnapshot};
 
 /// Convenience re-exports for engine users.

@@ -1,11 +1,11 @@
-//! The batch-evaluation service substrate: a JSON-lines wire protocol
-//! and a coalescing request batcher.
+//! The batch-evaluation service substrate: the JSON-lines wire
+//! protocol.
 //!
 //! Like the rest of the engine, this module knows nothing about *what*
-//! is being evaluated: it frames requests and responses as JSON lines
-//! and moves opaque in-flight jobs between connection threads and a
-//! scheduler. The co-search semantics (scenarios, designs, pipelines)
-//! live in `naas::service`, which layers its handlers on top.
+//! is being evaluated: it frames requests and responses as JSON lines.
+//! The co-search semantics (scenarios, designs, pipelines) and the
+//! stream plumbing live in `naas::service`, which layers its handlers
+//! on top.
 //!
 //! ## Wire protocol
 //!
@@ -19,24 +19,11 @@
 //! ```
 //!
 //! `id` is echoed verbatim (any JSON value, defaulting to `null`), so
-//! clients may pipeline requests and match responses out of order.
+//! clients may pipeline requests and correlate the responses.
 //! Every parse failure still produces a response line — a service must
 //! answer every line it consumes, or a pipelining client deadlocks.
-//!
-//! ## Coalescing
-//!
-//! [`Batcher`] is a many-producer queue with *drain-all* semantics:
-//! connection threads [`Batcher::push`] in-flight requests as they
-//! arrive, and the scheduler's [`Batcher::next_batch`] blocks until at
-//! least one request is pending, then takes **everything** queued. All
-//! concurrent in-flight requests therefore land in one batch, which the
-//! scheduler fans out over the work-stealing pool in a single
-//! `parallel_map` call — service throughput rides the same batched
-//! evaluation path as an in-process population evaluation.
 
 use serde::Value;
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 
 /// The wire-protocol version spoken by this build, negotiated by the
 /// `hello` command (see `docs/PROTOCOL.md` § Versioning). Version 1 is
@@ -67,12 +54,14 @@ use std::sync::{Condvar, Mutex};
 /// an accelerator-mode request carries the search's `incumbent` reward,
 /// and the worker ships the full per-network reports of exactly the
 /// candidates that could install a new incumbent, which a v8
-/// coordinator relies on. A client and server
+/// coordinator relies on. Version 9 removed the `batcher` section of
+/// every `metrics` snapshot, a required field, together with the
+/// request batcher it described. A client and server
 /// interoperate only on an exact match — the
 /// distributed driver ships serialized configs and search states whose
 /// layout follows the crate types, so "close enough" versions are
 /// exactly the undefined behaviour the handshake exists to rule out.
-pub const PROTOCOL_VERSION: u64 = 8;
+pub const PROTOCOL_VERSION: u64 = 9;
 
 /// A parsed service request: the echoed `id`, the command name, and the
 /// full request object (commands read their parameters out of it).
@@ -171,137 +160,9 @@ pub fn error_line(id: &Value, message: &str) -> String {
     serde_json::value_to_string(&response)
 }
 
-struct BatcherState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// A blocking multi-producer queue with drain-all consumption — the
-/// coalescing scheduler's inbox. See the module docs for the role it
-/// plays in the service.
-///
-/// # Examples
-///
-/// ```
-/// use naas_engine::Batcher;
-///
-/// let batcher: Batcher<u32> = Batcher::new();
-/// batcher.push(1);
-/// batcher.push(2);
-/// // The consumer coalesces: everything pending arrives as one batch.
-/// assert_eq!(batcher.next_batch(), Some(vec![1, 2]));
-///
-/// // Closing refuses producers and drains the rest.
-/// batcher.push(3);
-/// batcher.close();
-/// assert!(!batcher.push(4));
-/// assert_eq!(batcher.next_batch(), Some(vec![3]));
-/// assert_eq!(batcher.next_batch(), None);
-/// ```
-pub struct Batcher<T> {
-    state: Mutex<BatcherState<T>>,
-    ready: Condvar,
-}
-
-impl<T> Default for Batcher<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Batcher<T> {
-    /// Creates an empty, open batcher.
-    pub fn new() -> Self {
-        Batcher {
-            state: Mutex::new(BatcherState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    // The protected state is a plain queue, valid even if a producer
-    // died mid-push; treating poison as fatal would take the whole
-    // service down with it.
-    fn lock(&self) -> std::sync::MutexGuard<'_, BatcherState<T>> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Enqueues one in-flight item. Returns `false` (dropping the item)
-    /// if the batcher is already closed.
-    ///
-    /// # Multi-consumer contract
-    ///
-    /// A push wakes exactly **one** blocked consumer (`notify_one`), not
-    /// all of them — with several [`Batcher::next_batch`] loops parked
-    /// (the gateway runs one per executor), one item wakes one thread
-    /// and the rest stay asleep instead of stampeding the lock only to
-    /// find the queue already drained. A consumer that does lose the
-    /// race (woken between a sibling's drain and its own lock
-    /// acquisition) observes an empty queue and re-blocks on the
-    /// condvar; it never spins. [`Batcher::close`] is the one event
-    /// every consumer must observe, so it alone uses `notify_all`.
-    pub fn push(&self, item: T) -> bool {
-        let mut state = self.lock();
-        if state.closed {
-            return false;
-        }
-        state.queue.push_back(item);
-        let depth = state.queue.len() as u64;
-        drop(state);
-        crate::telemetry::metrics()
-            .batcher
-            .max_queue_depth
-            .set_max(depth);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Closes the batcher: producers are refused from now on, and
-    /// [`Batcher::next_batch`] returns `None` once the queue drains.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks until at least one item is queued, then drains and returns
-    /// **all** queued items (the coalescing step). Returns `None` when
-    /// the batcher is closed and empty.
-    ///
-    /// Safe to call from many threads at once: each queued item is
-    /// delivered to exactly one consumer (the drain happens under the
-    /// state lock), and after [`Batcher::close`] every blocked consumer
-    /// unblocks and returns `None` once the queue is empty. See the
-    /// wakeup contract on [`Batcher::push`].
-    pub fn next_batch(&self) -> Option<Vec<T>> {
-        let mut state = self.lock();
-        loop {
-            if !state.queue.is_empty() {
-                let batch: Vec<T> = state.queue.drain(..).collect();
-                let batcher_metrics = &crate::telemetry::metrics().batcher;
-                batcher_metrics.batches.inc();
-                batcher_metrics.requests.add(batch.len() as u64);
-                batcher_metrics.batch_size.observe(batch.len() as u64);
-                return Some(batch);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Items currently queued (diagnostic).
-    pub fn pending(&self) -> usize {
-        self.lock().queue.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn parse_extracts_id_cmd_and_params() {
@@ -357,98 +218,5 @@ mod tests {
         assert!(!err.contains('\n'), "must stay one line: {err}");
         let back: Value = serde_json::from_str(&err).unwrap();
         assert_eq!(back.get("ok"), Some(&Value::Bool(false)));
-    }
-
-    #[test]
-    fn batcher_coalesces_everything_pending() {
-        let b: Batcher<u32> = Batcher::new();
-        for i in 0..5 {
-            assert!(b.push(i));
-        }
-        assert_eq!(b.pending(), 5);
-        assert_eq!(b.next_batch().unwrap(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(b.pending(), 0);
-    }
-
-    #[test]
-    fn closed_batcher_refuses_producers_and_drains() {
-        let b: Batcher<u32> = Batcher::new();
-        b.push(1);
-        b.close();
-        assert!(!b.push(2));
-        assert_eq!(b.next_batch().unwrap(), vec![1]);
-        assert!(b.next_batch().is_none());
-    }
-
-    #[test]
-    fn next_batch_blocks_until_a_producer_arrives() {
-        let b: Arc<Batcher<u32>> = Arc::new(Batcher::new());
-        let consumer = {
-            let b = Arc::clone(&b);
-            std::thread::spawn(move || b.next_batch())
-        };
-        // Give the consumer time to block, then wake it.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        b.push(9);
-        assert_eq!(consumer.join().unwrap().unwrap(), vec![9]);
-    }
-
-    #[test]
-    fn multiple_consumers_share_the_queue_without_loss_or_spin() {
-        // Regression test for the gateway's multi-consumer use: several
-        // next_batch loops drain one batcher concurrently. Every pushed
-        // item must be consumed exactly once, and every consumer must
-        // terminate after close() — a lost wakeup would hang the join,
-        // a stampeding wakeup would show up as duplicated items.
-        let b: Arc<Batcher<usize>> = Arc::new(Batcher::new());
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    let mut taken = Vec::new();
-                    while let Some(batch) = b.next_batch() {
-                        taken.extend(batch);
-                    }
-                    taken
-                })
-            })
-            .collect();
-        for i in 0..400 {
-            assert!(b.push(i));
-            if i % 7 == 0 {
-                // Let consumers park between bursts so the single-wakeup
-                // path (not just the drain-all path) is exercised.
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-        }
-        b.close();
-        let mut all = Vec::new();
-        for consumer in consumers {
-            all.extend(consumer.join().unwrap());
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..400).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn concurrent_producers_lose_nothing() {
-        let b: Arc<Batcher<usize>> = Arc::new(Batcher::new());
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let b = Arc::clone(&b);
-                scope.spawn(move || {
-                    for i in 0..50 {
-                        b.push(t * 50 + i);
-                    }
-                });
-            }
-        });
-        b.close();
-        let mut all = Vec::new();
-        while let Some(batch) = b.next_batch() {
-            all.extend(batch);
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..200).collect::<Vec<_>>());
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * a process-global **metrics registry** ([`metrics`]) of atomic
 //!   counters, gauges, and fixed-bucket histograms covering the hot
-//!   seams (worker pool, service batcher, evaluation pipeline, RPC
-//!   client, distributed coordinator), snapshottable into a plain
+//!   seams (worker pool, evaluation pipeline, RPC client, distributed
+//!   coordinator, gateway), snapshottable into a plain
 //!   serializable tree ([`MetricsSnapshot`]) that travels over the
 //!   wire as the `metrics` service command;
 //! * a process-global **event log** ([`events`]) that renders
@@ -67,7 +67,7 @@ impl Counter {
     }
 }
 
-/// A last-written-value instrument with a high-water-mark variant.
+/// A last-written-value instrument.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
@@ -86,12 +86,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Raises the gauge to `v` if `v` exceeds the current value
-    /// (high-water mark).
-    pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -104,10 +98,6 @@ pub const LATENCY_BUCKETS_US: &[u64] = &[
     100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
     1_000_000, 2_500_000, 5_000_000, 10_000_000, 30_000_000, 60_000_000,
 ];
-
-/// Bucket edges (counts) for size histograms such as coalesced batch
-/// sizes: powers of two up to 1024, plus an implicit overflow bucket.
-pub const SIZE_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 /// A fixed-bucket histogram over `u64` observations.
 ///
@@ -364,19 +354,6 @@ pub struct PoolSnapshot {
     pub job_latency_us: HistogramSnapshot,
 }
 
-/// Snapshot of the service-batcher section.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct BatcherSnapshot {
-    /// Coalesced batches drained by the scheduler.
-    pub batches: u64,
-    /// Individual requests that travelled inside those batches.
-    pub requests: u64,
-    /// Distribution of coalesced batch sizes.
-    pub batch_size: HistogramSnapshot,
-    /// Deepest the queue has ever been (high-water mark).
-    pub max_queue_depth: u64,
-}
-
 /// Snapshot of the evaluation-pipeline section.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PipelineSnapshot {
@@ -478,8 +455,6 @@ pub struct MetricsSnapshot {
     pub cache: CacheCounters,
     /// Worker-pool counters.
     pub pool: PoolSnapshot,
-    /// Service-batcher counters.
-    pub batcher: BatcherSnapshot,
     /// Evaluation-pipeline counters.
     pub pipeline: PipelineSnapshot,
     /// Distributed-coordination counters.
@@ -501,19 +476,6 @@ pub struct PoolMetrics {
     pub panics: Counter,
     /// Per-job wall time.
     pub job_latency: Histogram,
-}
-
-/// Service-batcher instruments (see [`crate::service::Batcher`]).
-#[derive(Debug)]
-pub struct BatcherMetrics {
-    /// Batches drained.
-    pub batches: Counter,
-    /// Requests coalesced into those batches.
-    pub requests: Counter,
-    /// Batch-size distribution.
-    pub batch_size: Histogram,
-    /// Queue-depth high-water mark.
-    pub max_queue_depth: Gauge,
 }
 
 /// Evaluation-pipeline instruments (updated by `naas::pipeline`).
@@ -605,8 +567,6 @@ pub struct GatewayMetrics {
 pub struct Metrics {
     /// Worker-pool section.
     pub pool: PoolMetrics,
-    /// Service-batcher section.
-    pub batcher: BatcherMetrics,
     /// Evaluation-pipeline section.
     pub pipeline: PipelineMetrics,
     /// Distributed-coordination section.
@@ -622,12 +582,6 @@ impl Metrics {
                 jobs: Counter::new(),
                 panics: Counter::new(),
                 job_latency: Histogram::new(LATENCY_BUCKETS_US),
-            },
-            batcher: BatcherMetrics {
-                batches: Counter::new(),
-                requests: Counter::new(),
-                batch_size: Histogram::new(SIZE_BUCKETS),
-                max_queue_depth: Gauge::new(),
             },
             pipeline: PipelineMetrics::default(),
             coordinator: CoordinatorMetrics {
@@ -677,12 +631,6 @@ impl Metrics {
                 jobs: self.pool.jobs.get(),
                 panics: self.pool.panics.get(),
                 job_latency_us: self.pool.job_latency.snapshot(),
-            },
-            batcher: BatcherSnapshot {
-                batches: self.batcher.batches.get(),
-                requests: self.batcher.requests.get(),
-                batch_size: self.batcher.batch_size.snapshot(),
-                max_queue_depth: self.batcher.max_queue_depth.get(),
             },
             pipeline: PipelineSnapshot {
                 evaluations: self.pipeline.evaluations.get(),
@@ -947,10 +895,7 @@ mod tests {
 
         let g = Gauge::new();
         g.set(7);
-        g.set_max(3);
-        assert_eq!(g.get(), 7, "set_max must not lower the gauge");
-        g.set_max(11);
-        assert_eq!(g.get(), 11);
+        assert_eq!(g.get(), 7);
         g.set(2);
         assert_eq!(g.get(), 2, "set overwrites unconditionally");
     }
@@ -1017,8 +962,6 @@ mod tests {
         let registry = Metrics::new();
         registry.pool.jobs.add(3);
         registry.pool.job_latency.observe(1_234);
-        registry.batcher.batch_size.observe(16);
-        registry.batcher.max_queue_depth.set_max(9);
         registry.coordinator.per_worker_rpc.get("w:1").observe(500);
         registry.coordinator.steals.add(2);
         registry.coordinator.duplicate_replies.inc();
@@ -1034,11 +977,19 @@ mod tests {
             evictions: 3,
             hit_rate: 10.0 / 15.0,
         });
+        let Value::Object(sections) = serde_json::to_value(&snap) else {
+            panic!("a snapshot serializes as an object");
+        };
+        let names: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["cache", "pool", "pipeline", "coordinator", "gateway"],
+            "the snapshot's sections, exactly and in order"
+        );
         let wire = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&wire).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.pool.jobs, 3);
-        assert_eq!(back.batcher.max_queue_depth, 9);
         assert_eq!(back.coordinator.per_worker_rpc_us[0].label, "w:1");
         assert_eq!(back.coordinator.steals, 2);
         assert_eq!(back.coordinator.duplicate_replies, 1);

@@ -1178,3 +1178,11 @@ fn v6_worker_is_refused_before_any_shard_is_exchanged() {
 fn v7_worker_is_refused_before_any_shard_is_exchanged() {
     assert_refused_before_any_shard(7);
 }
+
+/// The 8→9 bump: a v8 worker's `metrics` snapshots carry the required
+/// `batcher` section that v9 removed, so it must be refused before any
+/// shard.
+#[test]
+fn v8_worker_is_refused_before_any_shard_is_exchanged() {
+    assert_refused_before_any_shard(8);
+}

@@ -185,8 +185,7 @@ fn concurrent_accel_and_joint_jobs_are_byte_identical_to_solo_runs() {
     }
 }
 
-/// Scheduler stress (the producer side of the Batcher/scheduler
-/// concurrency satellite): N producer threads submit M jobs each with
+/// Scheduler stress: N producer threads submit M jobs each with
 /// seeded pseudo-random pacing. Every job must run to `done` with its
 /// full generation count — nothing dropped, nothing run twice — and the
 /// per-tenant accounting must balance exactly at shutdown: generation
@@ -484,7 +483,7 @@ fn chaos_fleet_jobs_are_byte_identical_despite_skew_and_worker_restart() {
 /// The gateway behind the generic server plumbing: a
 /// `ServiceServer<GatewayService>` serving TCP answers the handshake
 /// with the `jobs` capability, runs a submitted job, streams its
-/// events, and serves base commands — over the very stream/batcher path
+/// events, and serves base commands — over the very stream path
 /// `naas-search gateway --port` uses.
 #[test]
 fn gateway_serves_jobs_over_tcp_through_the_shared_server_plumbing() {

@@ -1,16 +1,21 @@
-//! The batch-evaluation service: wire round-trips, coalesced
-//! concurrency, and the contract that a served answer is bit-identical
-//! to the equivalent direct library call.
+//! The batch-evaluation service: wire round-trips, concurrent streams,
+//! drain, and the contract that a served answer is bit-identical to the
+//! equivalent direct library call.
 
-use naas::service::{BatchEvalService, ServiceConfig, ServiceServer};
+use naas::service::{BatchEvalService, ServiceConfig, ServiceServer, WireService};
 use naas::{mapping_search, CoSearchEngine, MappingSearchConfig};
 use naas_accel::baselines;
 use naas_cost::CostModel;
 use naas_engine::scenario;
+use naas_engine::service::{ok_line, ParseFailure, Request};
+use naas_engine::CheckpointError;
 use naas_ir::ConvSpec;
 use naas_mapping::Mapping;
 use serde_json::Value;
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 fn service(threads: usize) -> BatchEvalService {
     BatchEvalService::new(ServiceConfig {
@@ -157,24 +162,39 @@ fn served_evaluate_batch_matches_scalar_evaluates() {
     }
 }
 
-/// Concurrent clients hammering one warm service get (a) every request
+/// The response lines a stream wrote.
+fn response_lines(out: Vec<u8>) -> Vec<String> {
+    String::from_utf8(out)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(String::from)
+        .collect()
+}
+
+/// Concurrent streams hammering one warm service get (a) every request
 /// answered, (b) identical answers for identical requests regardless of
 /// interleaving — the cache-soundness claim under real concurrency.
 #[test]
-fn concurrent_streams_coalesce_and_stay_deterministic() {
+fn concurrent_streams_stay_deterministic() {
     let server = ServiceServer::start(Arc::new(service(2)));
     let request =
         r#"{"id":9,"cmd":"score_design","scenario":"cifar-eyeriss","design":"ShiDianNao"}"#;
+    let start = Barrier::new(6);
     let mut responses: Vec<String> = std::thread::scope(|scope| {
-        let server = &server;
+        let (server, start) = (&server, &start);
         let handles: Vec<_> = (0..6)
-            .map(|client| {
+            .map(|_| {
                 scope.spawn(move || {
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    assert!(server.submit(request.to_string(), client, tx));
-                    let (seq, response) = rx.recv().expect("response arrives");
-                    assert_eq!(seq, client);
-                    response
+                    let mut out = Vec::new();
+                    start.wait();
+                    let input = format!("{request}\n");
+                    let shutdown = server
+                        .serve_stream(input.as_bytes(), &mut out)
+                        .expect("stream I/O");
+                    assert!(!shutdown);
+                    let mut lines = response_lines(out);
+                    assert_eq!(lines.len(), 1, "one response per request");
+                    lines.remove(0)
                 })
             })
             .collect();
@@ -191,27 +211,32 @@ fn concurrent_streams_coalesce_and_stay_deterministic() {
     assert_eq!(responses[0], cold);
 }
 
-/// A panicking request among concurrent in-flight requests becomes an
-/// error *response*; siblings in the same coalesced batch are answered
-/// normally and the service keeps running (regression for the pool's
-/// deque-poisoning abort).
+/// A panicking request among a stream's requests becomes an error
+/// *response*; its siblings on the stream are answered normally and the
+/// service keeps running (regression for the pool's deque-poisoning
+/// abort).
 #[test]
 fn panicking_request_does_not_abort_batch_or_service() {
     let server = ServiceServer::start(Arc::new(service(2)));
-    let (tx, rx) = std::sync::mpsc::channel();
-    for seq in 0..8u64 {
-        let line = if seq == 3 {
-            r#"{"id":3,"cmd":"__panic"}"#.to_string()
-        } else {
-            format!(r#"{{"id":{seq},"cmd":"cache_stats"}}"#)
-        };
-        assert!(server.submit(line, seq, tx.clone()));
-    }
-    drop(tx);
+    let input: String = (0..8u64)
+        .map(|seq| {
+            let line = if seq == 3 {
+                r#"{"id":3,"cmd":"__panic"}"#.to_string()
+            } else {
+                format!(r#"{{"id":{seq},"cmd":"cache_stats"}}"#)
+            };
+            line + "\n"
+        })
+        .collect();
+    let mut out = Vec::new();
+    server
+        .serve_stream(input.as_bytes(), &mut out)
+        .expect("stream I/O");
     let mut ok = 0;
     let mut failed = 0;
-    for (seq, response) in rx {
+    for (seq, response) in (0u64..).zip(response_lines(out)) {
         let v = parse(&response);
+        assert_eq!(v.get("id"), Some(&Value::U64(seq)), "request order");
         if seq == 3 {
             assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
             assert!(v
@@ -227,13 +252,183 @@ fn panicking_request_does_not_abort_batch_or_service() {
     }
     assert_eq!((ok, failed), (7, 1));
     // Still alive afterwards.
-    let (tx, rx) = std::sync::mpsc::channel();
-    assert!(server.submit(r#"{"id":99,"cmd":"cache_stats"}"#.to_string(), 0, tx));
-    assert_eq!(
-        parse(&rx.recv().unwrap().1).get("ok"),
-        Some(&Value::Bool(true))
-    );
+    let mut out = Vec::new();
+    server
+        .serve_stream(
+            concat!(r#"{"id":99,"cmd":"cache_stats"}"#, "\n").as_bytes(),
+            &mut out,
+        )
+        .expect("stream I/O");
+    let lines = response_lines(out);
+    assert_eq!(lines.len(), 1);
+    assert_eq!(parse(&lines[0]).get("ok"), Some(&Value::Bool(true)));
     server.stop().expect("clean stop");
+}
+
+/// Connections are answered independently: while one connection's slow
+/// `evaluate_shard` (1.5 s of injected delay) is in flight, another
+/// connection's `cache_stats` is answered at once instead of waiting
+/// for it.
+#[test]
+fn a_slow_request_does_not_hold_up_another_connection() {
+    const DELAY: Duration = Duration::from_millis(1_500);
+    let slow = BatchEvalService::new(ServiceConfig {
+        threads: 1,
+        mapping: MappingSearchConfig::quick(7),
+        eval_delay_us: DELAY.as_micros() as u64,
+        ..ServiceConfig::default()
+    })
+    .expect("no cache file to load");
+    let server = Arc::new(ServiceServer::start(Arc::new(slow)));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let accept = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve_listener(listener))
+    };
+    let send = |stream: &mut TcpStream, line: &str| {
+        writeln!(stream, "{line}").expect("request written");
+    };
+    let receive = |stream: &TcpStream| {
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("response read");
+        parse(&line)
+    };
+
+    let mut a = TcpStream::connect(addr).expect("connection A");
+    let candidates = serde_json::to_string(&[baselines::eyeriss()]).unwrap();
+    let sent = Instant::now();
+    send(
+        &mut a,
+        &format!(
+            r#"{{"id":"slow","cmd":"evaluate_shard","scenario":"cifar-eyeriss","candidates":{candidates}}}"#
+        ),
+    );
+    std::thread::sleep(Duration::from_millis(100));
+
+    let mut b = TcpStream::connect(addr).expect("connection B");
+    let asked = Instant::now();
+    send(&mut b, r#"{"id":"quick","cmd":"cache_stats"}"#);
+    let quick = receive(&b);
+    let waited = asked.elapsed();
+    assert_eq!(quick.get("ok"), Some(&Value::Bool(true)), "{quick:?}");
+    assert!(
+        waited < Duration::from_millis(500),
+        "cache_stats waited {waited:?} behind another connection's request"
+    );
+    assert!(
+        sent.elapsed() < DELAY,
+        "connection A's request must still be in flight"
+    );
+
+    let slow = receive(&a);
+    assert_eq!(slow.get("id"), Some(&Value::Str("slow".into())));
+    assert_eq!(slow.get("ok"), Some(&Value::Bool(true)), "{slow:?}");
+    assert!(sent.elapsed() >= DELAY);
+
+    send(&mut b, r#"{"id":"end","cmd":"shutdown"}"#);
+    assert_eq!(receive(&b).get("ok"), Some(&Value::Bool(true)));
+    assert!(accept.join().unwrap().expect("listener I/O"));
+    server.drain();
+}
+
+/// A service whose `hold` command blocks until the test releases it,
+/// so a test can hold an answer in progress.
+struct Held {
+    started: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl WireService for Held {
+    fn answer(&self, parsed: &Result<Request, ParseFailure>) -> String {
+        let request = parsed.as_ref().expect("test lines parse");
+        if request.cmd == "hold" {
+            self.started.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+        ok_line(&request.id, Value::Str(request.cmd.clone()))
+    }
+
+    fn threads(&self) -> usize {
+        1
+    }
+
+    fn persist_cache(&self) -> Result<(), CheckpointError> {
+        Ok(())
+    }
+}
+
+/// `drain` waits for the answers in progress, and a line read after it
+/// began is answered `server is shutting down` (its id echoed), after
+/// which the stream stops being read.
+#[test]
+fn drain_finishes_answers_in_progress_and_refuses_later_lines() {
+    let (started_tx, started) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let server = ServiceServer::start(Arc::new(Held {
+        started: Mutex::new(started_tx),
+        release: Mutex::new(release_rx),
+    }));
+    std::thread::scope(|scope| {
+        let server = &server;
+        let held = scope.spawn(move || {
+            let mut out = Vec::new();
+            server
+                .serve_stream(
+                    concat!(r#"{"id":1,"cmd":"hold"}"#, "\n").as_bytes(),
+                    &mut out,
+                )
+                .expect("stream I/O");
+            response_lines(out)
+        });
+        started.recv().expect("the held answer started");
+        let (drained_tx, drained) = mpsc::channel();
+        scope.spawn(move || {
+            server.drain();
+            drained_tx.send(()).unwrap();
+        });
+        let early = drained.recv_timeout(Duration::from_millis(200));
+        // Release before asserting, so a failure cannot leave the held
+        // answer blocking the scope's join.
+        release.send(()).unwrap();
+        assert_eq!(
+            early,
+            Err(mpsc::RecvTimeoutError::Timeout),
+            "drain returned while an answer was in progress"
+        );
+        drained
+            .recv()
+            .expect("drain returns once the answer is done");
+        let lines = held.join().unwrap();
+        assert_eq!(lines.len(), 1);
+        assert_eq!(parse(&lines[0]).get("ok"), Some(&Value::Bool(true)));
+    });
+
+    let mut out = Vec::new();
+    let shutdown = server
+        .serve_stream(
+            concat!(
+                r#"{"id":2,"cmd":"late"}"#,
+                "\n",
+                r#"{"id":3,"cmd":"later"}"#,
+                "\n"
+            )
+            .as_bytes(),
+            &mut out,
+        )
+        .expect("stream I/O");
+    assert!(!shutdown);
+    let lines = response_lines(out);
+    assert_eq!(lines.len(), 1, "the stream stops after the refusal");
+    let refused = parse(&lines[0]);
+    assert_eq!(refused.get("id"), Some(&Value::U64(2)));
+    assert_eq!(refused.get("ok"), Some(&Value::Bool(false)));
+    assert_eq!(
+        refused.get("error").and_then(Value::as_str),
+        Some("server is shutting down")
+    );
 }
 
 /// Full stream round-trip: pipelined requests over one stream come back
@@ -509,7 +704,7 @@ fn unmappable_design_is_an_error_response() {
 
 /// The `metrics` command round-trips a full telemetry snapshot: the
 /// served JSON deserializes back into [`naas_engine::MetricsSnapshot`]
-/// through the shim, and every top-level section is present. Counter
+/// through the shim, and it carries exactly the five sections. Counter
 /// values are only bounded loosely — the registry is process-global and
 /// other tests in this binary race with us.
 #[test]
@@ -524,19 +719,15 @@ fn metrics_command_round_trips_a_full_snapshot() {
     );
     let snapshot_value = result_of(&s.respond(r#"{"id":2,"cmd":"metrics"}"#));
 
-    for section in [
-        "cache",
-        "pool",
-        "batcher",
-        "pipeline",
-        "coordinator",
-        "gateway",
-    ] {
-        assert!(
-            snapshot_value.get(section).is_some(),
-            "snapshot is missing the {section} section"
-        );
-    }
+    let Value::Object(sections) = &snapshot_value else {
+        panic!("the snapshot is an object: {snapshot_value:?}");
+    };
+    let names: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["cache", "pool", "pipeline", "coordinator", "gateway"],
+        "the snapshot's sections, exactly and in order"
+    );
     let snapshot: naas_engine::MetricsSnapshot =
         serde_json::from_value(&snapshot_value).expect("snapshot deserializes via the shim");
     // The search above put at least one entry in this service's cache.
@@ -690,63 +881,6 @@ fn fuzzed_protocol_lines_never_panic_and_always_get_correlatable_replies() {
     assert_eq!(recovered.get("id"), Some(&Value::U64(77)));
     assert_eq!(recovered.get("ok"), Some(&Value::Bool(false)));
     server.stop().expect("clean stop after the fuzz run");
-}
-
-/// Batcher stress (the producer side): N seeded producer threads push
-/// into one `Batcher` while M consumer threads drain it concurrently.
-/// Drain-all semantics must hold exactly — every pushed item delivered
-/// once, to exactly one consumer, nothing dropped, nothing duplicated —
-/// and `close` must release every blocked consumer.
-#[test]
-fn batcher_under_producer_and_consumer_stress_never_drops_or_duplicates() {
-    use naas_engine::service::Batcher;
-    const PRODUCERS: u64 = 4;
-    const PER_PRODUCER: u64 = 250;
-    let batcher = Arc::new(Batcher::<u64>::new());
-
-    let consumed: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let batcher = Arc::clone(&batcher);
-                scope.spawn(move || {
-                    let mut seen = Vec::new();
-                    while let Some(batch) = batcher.next_batch() {
-                        seen.extend(batch);
-                    }
-                    seen
-                })
-            })
-            .collect();
-        let producers: Vec<_> = (0..PRODUCERS)
-            .map(|producer| {
-                let batcher = Arc::clone(&batcher);
-                scope.spawn(move || {
-                    let mut rng = 0xfeed_beef ^ (producer + 1);
-                    for i in 0..PER_PRODUCER {
-                        rng ^= rng << 13;
-                        rng ^= rng >> 7;
-                        rng ^= rng << 17;
-                        if rng % 11 == 0 {
-                            // Seeded random pacing: some pushes land in
-                            // coalesced batches, some wake an idle consumer.
-                            std::thread::sleep(std::time::Duration::from_micros(rng % 200));
-                        }
-                        batcher.push(producer * PER_PRODUCER + i);
-                    }
-                })
-            })
-            .collect();
-        for producer in producers {
-            producer.join().unwrap();
-        }
-        batcher.close();
-        consumers.into_iter().map(|c| c.join().unwrap()).collect()
-    });
-
-    let mut all: Vec<u64> = consumed.into_iter().flatten().collect();
-    all.sort_unstable();
-    let expected: Vec<u64> = (0..PRODUCERS * PER_PRODUCER).collect();
-    assert_eq!(all, expected, "drain-all dropped or duplicated items");
 }
 
 /// `cache_stats` exposes the extended counter set: entries, evictions,

@@ -100,12 +100,15 @@ fn search_is_bit_identical_with_telemetry_enabled() {
         assert_eq!(record.get("kind").and_then(Value::as_str), Some("metrics"));
         assert!(record.get("ts_ms").is_some(), "record carries a timestamp");
         let snapshot = record.get("metrics").expect("record carries the snapshot");
-        for section in ["cache", "pool", "batcher", "pipeline", "coordinator"] {
-            assert!(
-                snapshot.get(section).is_some(),
-                "snapshot is missing the {section} section"
-            );
-        }
+        let Value::Object(sections) = snapshot else {
+            panic!("the snapshot is an object: {snapshot:?}");
+        };
+        let names: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["cache", "pool", "pipeline", "coordinator", "gateway"],
+            "the snapshot's sections, exactly and in order"
+        );
         let parsed: naas_engine::MetricsSnapshot =
             serde_json::from_value(snapshot).expect("snapshot deserializes via the shim");
         // The registry is process-global, so only loose bounds hold; but
