@@ -91,6 +91,53 @@ mod tests {
     }
 
     #[test]
+    fn area_grows_with_l1_l2_and_pe_count() {
+        use crate::{Accelerator, ArchitecturalSizing, Connectivity};
+        let m = AreaModel::default();
+        for base in baselines::all() {
+            let (sizing, conn) = (base.sizing(), base.connectivity());
+            let variant = |l1: u64, l2: u64, sizes: Vec<u64>| {
+                Accelerator::new(
+                    "variant",
+                    ArchitecturalSizing::new(
+                        l1,
+                        l2,
+                        sizing.noc_bandwidth(),
+                        sizing.dram_bandwidth(),
+                    ),
+                    Connectivity::new(sizes, conn.parallel_dims().to_vec()).expect("valid"),
+                )
+            };
+            let (l1, l2, sizes) = (sizing.l1_bytes(), sizing.l2_bytes(), conn.sizes());
+            let area = m.area_mm2(&base);
+            for step in [1, 64, 4096] {
+                let larger_l1 = variant(l1 + step, l2, sizes.to_vec());
+                let larger_l2 = variant(l1, l2 + step, sizes.to_vec());
+                for (what, grown) in [("L1", larger_l1), ("L2", larger_l2)] {
+                    let grown = m.area_mm2(&grown);
+                    assert!(
+                        grown > area,
+                        "{}: {what} +{step} B: {grown} <= {area}",
+                        base.name()
+                    );
+                }
+            }
+            for dim in 0..sizes.len() {
+                for step in [1, 2, 7] {
+                    let mut more = sizes.to_vec();
+                    more[dim] += step;
+                    let grown = m.area_mm2(&variant(l1, l2, more));
+                    assert!(
+                        grown > area,
+                        "{}: dim {dim} +{step}: {grown} <= {area}",
+                        base.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fits_respects_budget() {
         let m = AreaModel::default();
         let d = baselines::shidiannao();

@@ -10,11 +10,19 @@
 //! lowest EDP".
 //!
 //! Candidates of a generation are independent, so their whole NAS
-//! evolutions run in parallel on the engine's work-stealing pool; all
-//! mapping searches inside them share the engine's content-addressed
+//! evolutions run in parallel on the engine's work-stealing pool, one
+//! job each. Inside a candidate's job, each NAS generation's
+//! accuracy-feasible subnets are scored by a `parallel_map` nested in
+//! that job ([`evaluate_joint_candidate`]): it runs on the job's thread
+//! plus whatever slots the candidate map has left idle, so cores that a
+//! generation's last candidates would leave idle score their subnets
+//! instead, and the process never runs more compute threads than the
+//! engine's. All mapping searches share the engine's content-addressed
 //! cache, so a subnet layer shape evaluated once on a design is never
 //! evaluated on it again — across subnets, candidates, generations, and
-//! every sweep sharing the engine.
+//! every sweep sharing the engine — and a key two subnets contend for
+//! is computed once, whichever thread gets there first. Results and
+//! work counts are therefore the same at any thread count.
 //!
 //! Like the accelerator search, the joint loop is expressed as a
 //! serializable [`JointSearchState`] advanced one outer generation at a
@@ -34,7 +42,7 @@ use crate::reward::ObjectivePolicy;
 use naas_accel::{area::AreaModel, Accelerator, ResourceConstraint};
 use naas_cost::{CostModel, ObjectiveVector};
 use naas_engine::{parallel_map, CheckpointPolicy};
-use naas_nas::search::search_subnet;
+use naas_nas::search::search_subnet_batched;
 use naas_nas::{AccuracyModel, NasConfig, Subnet};
 use naas_opt::{CemEs, HardwareEncoder, Optimizer};
 use serde::{Deserialize, Serialize};
@@ -197,6 +205,15 @@ pub fn joint_nas_seed(cfg: &JointConfig, iteration: usize, slot: usize) -> u64 {
 /// engine's shared cache with content-derived seeds, so where this runs
 /// (and what was cached before) is invisible in the outcome. This is
 /// the unit the distributed coordinator ships to workers.
+///
+/// Each NAS generation's accuracy-feasible subnets are scored together
+/// ([`search_subnet_batched`]) by a `parallel_map` over
+/// `engine.threads()`. Called from a job of another `parallel_map` (a
+/// local joint step, the coordinator's local fallback, a worker's joint
+/// shard) that map is nested, so it takes helpers only from slots the
+/// outer map has left idle and otherwise runs on the calling thread; on
+/// a 1-thread engine it runs inline. The scores are folded in
+/// population order either way, so the outcome is the same.
 pub fn evaluate_joint_candidate(
     engine: &CoSearchEngine,
     model: &CostModel,
@@ -213,16 +230,18 @@ pub fn evaluate_joint_candidate(
     // One fingerprint per candidate: every subnet the NAS proposes
     // shares it.
     let design_fp = crate::mapping_search::design_fingerprint(accel, mapping_cfg);
-    let out = search_subnet(&nas_cfg, accuracy_model, |net| {
-        crate::mapping_search::network_mapping_search_memo(
-            model,
-            net,
-            accel,
-            mapping_cfg,
-            engine.cache(),
-            design_fp,
-        )
-        .map(|cost| cost.edp())
+    let out = search_subnet_batched(&nas_cfg, accuracy_model, |networks| {
+        parallel_map(engine.threads(), networks, |_idx, net| {
+            crate::mapping_search::network_mapping_search_memo(
+                model,
+                net,
+                accel,
+                mapping_cfg,
+                engine.cache(),
+                design_fp,
+            )
+            .map(|cost| cost.edp())
+        })
     })?;
     // Re-derive the winning subnet's full cost report for the objective
     // vector: the NAS loop evaluated it moments ago through the same
@@ -250,7 +269,8 @@ pub fn evaluate_joint_candidate(
 
 /// Advances the joint search by one outer generation: sample accelerator
 /// candidates, run each candidate's whole NAS evolution as one parallel
-/// job on the engine's pool, update the ES. Returns `false` (without
+/// job on the engine's pool (its subnets scored on the slots the
+/// generation leaves idle), update the ES. Returns `false` (without
 /// doing work) once the budget is exhausted.
 pub fn joint_search_step(
     engine: &CoSearchEngine,
@@ -559,17 +579,77 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
+        // The whole state (ES mean, variances and RNG, `best`,
+        // `total_evals`, the Pareto archive) and the cache's work counts
+        // must not depend on how candidates and their subnets were
+        // spread over threads.
         let model = CostModel::new();
         let envelope = ResourceConstraint::from_design(&baselines::eyeriss());
         let mut cfg = JointConfig::quick(6);
+        cfg.accel.objectives = ObjectivePolicy::Pareto;
         let accuracy = AccuracyModel::default();
-        cfg.accel.threads = 1;
-        let single = search_joint(&model, &envelope, &accuracy, &cfg).unwrap();
-        cfg.accel.threads = 4;
-        let multi = search_joint(&model, &envelope, &accuracy, &cfg).unwrap();
-        assert_eq!(single.subnet, multi.subnet);
-        assert_eq!(single.accelerator, multi.accelerator);
-        assert_eq!(single.edp, multi.edp);
+        let run = |threads| {
+            let engine = CoSearchEngine::new(threads);
+            let mut state = joint_search_init(&envelope, &cfg);
+            while joint_search_step(&engine, &model, &accuracy, &mut state) {}
+            (state, engine.cache_stats())
+        };
+        let (single, single_stats) = run(1);
+        assert!(single.archive().is_some_and(|a| !a.is_empty()));
+        for threads in [2, 4] {
+            let (multi, multi_stats) = run(threads);
+            assert_eq!(multi, single, "threads = {threads}");
+            assert_eq!(multi_stats, single_stats, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn joint_shard_answers_are_identical_bytes_at_any_thread_count() {
+        // Two candidates on a 3-thread service leave a slot idle from the
+        // start, so their subnet scoring nests on the pool.
+        let cfg = JointConfig::quick(12);
+        let envelope = ResourceConstraint::from_design(&baselines::eyeriss());
+        let mut state = joint_search_init(&envelope, &cfg);
+        let sampled = joint_sample_generation(&mut state).expect("budget left");
+        let slots = &sampled.slots[..2];
+        let candidates: Vec<&Accelerator> = slots.iter().map(|(_, _, accel)| accel).collect();
+        let seeds: Vec<u64> = slots
+            .iter()
+            .map(|(slot, _, _)| joint_nas_seed(&cfg, 0, *slot))
+            .collect();
+        let request = serde::Value::Object(vec![
+            ("id".to_string(), serde::Value::U64(1)),
+            (
+                "cmd".to_string(),
+                serde::Value::Str("evaluate_shard".to_string()),
+            ),
+            ("candidates".to_string(), serde_json::to_value(&candidates)),
+            (
+                "mapping".to_string(),
+                serde_json::to_value(&cfg.accel.mapping),
+            ),
+            (
+                "joint".to_string(),
+                serde::Value::Object(vec![
+                    ("nas".to_string(), serde_json::to_value(&cfg.nas)),
+                    ("seeds".to_string(), serde_json::to_value(&seeds)),
+                ]),
+            ),
+        ]);
+        let line = serde_json::to_string(&request).expect("request encodes");
+        let answer = |threads| {
+            crate::service::BatchEvalService::new(crate::service::ServiceConfig {
+                threads,
+                mapping: cfg.accel.mapping,
+                ..Default::default()
+            })
+            .expect("no cache file to load")
+            .respond(&line)
+        };
+        let single = answer(1);
+        assert!(single.contains(r#""ok":true"#), "{single}");
+        assert!(single.contains(r#""subnet""#), "{single}");
+        assert_eq!(answer(3), single);
     }
 
     #[test]

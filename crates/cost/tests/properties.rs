@@ -150,30 +150,82 @@ proptest! {
         prop_assert!(int16 >= int8);
     }
 
-    /// Energy scales with the anchor of the Eyeriss ladder.
+    /// Energy scales with the anchor of the Eyeriss ladder, for the
+    /// balanced mapping and random decodes on every baseline.
     #[test]
-    fn energy_scales_with_anchor(layer in arb_layer()) {
+    fn energy_scales_with_anchor(layer in arb_layer(), seed in 0u64..1 << 32) {
         use naas_cost::EnergyTable;
         let base = CostModel::new();
         let double =
             CostModel::new().with_energy(EnergyTable::eyeriss_ladder(2.0 * 0.225));
-        let accel = baselines::eyeriss();
-        let mapping = Mapping::balanced(&layer, &accel);
-        if let (Ok(a), Ok(b)) = (
-            base.evaluate(&layer, &accel, &mapping),
-            double.evaluate(&layer, &accel, &mapping),
-        ) {
-            let ratio = b.energy_pj / a.energy_pj;
-            prop_assert!((ratio - 2.0).abs() < 1e-9, "ratio {ratio}");
-            // Latency is energy-independent.
-            prop_assert_eq!(a.cycles, b.cycles);
+        let mut seed = seed;
+        for accel in baselines::all() {
+            for mapping in mappings_for(&layer, &accel, &mut seed) {
+                if let (Ok(a), Ok(b)) = (
+                    base.evaluate(&layer, &accel, &mapping),
+                    double.evaluate(&layer, &accel, &mapping),
+                ) {
+                    let ratio = b.energy_pj / a.energy_pj;
+                    prop_assert!((ratio - 2.0).abs() < 1e-9, "ratio {ratio}");
+                    // Latency is energy-independent.
+                    prop_assert_eq!(a.cycles, b.cycles);
+                }
+            }
+        }
+    }
+
+    /// Raising any one entry of the energy table never lowers a valid
+    /// evaluation's energy and leaves its cycles unchanged, for the
+    /// balanced mapping and random decodes on every baseline.
+    #[test]
+    fn energy_monotone_in_table(
+        layer in arb_layer(),
+        seed in 0u64..1 << 32,
+        raise in 1.0f64..4.0,
+    ) {
+        use naas_cost::EnergyTable;
+        let base = CostModel::new();
+        let table = *base.energy();
+        let raised: [fn(&mut EnergyTable) -> &mut f64; 5] = [
+            |e| &mut e.mac_pj,
+            |e| &mut e.l1_pj,
+            |e| &mut e.noc_pj,
+            |e| &mut e.l2_pj,
+            |e| &mut e.dram_pj,
+        ];
+        let models: Vec<CostModel> = raised
+            .iter()
+            .map(|entry| {
+                let mut e = table;
+                *entry(&mut e) *= raise;
+                CostModel::new().with_energy(e)
+            })
+            .collect();
+        let mut seed = seed;
+        for accel in baselines::all() {
+            for mapping in mappings_for(&layer, &accel, &mut seed) {
+                let Ok(a) = base.evaluate(&layer, &accel, &mapping) else {
+                    continue;
+                };
+                for (entry, model) in models.iter().enumerate() {
+                    let b = model
+                        .evaluate(&layer, &accel, &mapping)
+                        .expect("the energy table does not decide validity");
+                    prop_assert!(
+                        b.energy_pj >= a.energy_pj,
+                        "entry {entry} x{raise}: {} < {}", b.energy_pj, a.energy_pj
+                    );
+                    prop_assert_eq!(a.cycles, b.cycles);
+                }
+            }
         }
     }
 
     /// A mapping that is capacity-valid stays valid on a design with
-    /// strictly larger buffers.
+    /// strictly larger buffers, for the balanced mapping and random
+    /// decodes.
     #[test]
-    fn capacity_monotone_in_buffers(layer in arb_layer()) {
+    fn capacity_monotone_in_buffers(layer in arb_layer(), seed in 0u64..1 << 32) {
         use naas_accel::{Accelerator, ArchitecturalSizing, Connectivity};
         let small = Accelerator::new(
             "small",
@@ -186,9 +238,14 @@ proptest! {
             Connectivity::grid(8, 8, Dim::K, Dim::C).expect("static"),
         );
         let model = CostModel::new();
-        let mapping = Mapping::balanced(&layer, &small);
-        if model.evaluate(&layer, &small, &mapping).is_ok() {
-            prop_assert!(model.evaluate(&layer, &big, &mapping).is_ok());
+        let mut seed = seed;
+        for mapping in mappings_for(&layer, &small, &mut seed) {
+            if model.evaluate(&layer, &small, &mapping).is_ok() {
+                prop_assert!(
+                    model.evaluate(&layer, &big, &mapping).is_ok(),
+                    "valid on the small design only:\n{mapping}"
+                );
+            }
         }
     }
 }

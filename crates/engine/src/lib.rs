@@ -6,7 +6,8 @@
 //!
 //! * [`pool`] — a work-stealing parallel evaluator returning results in
 //!   job order, so every caller is deterministic by construction at any
-//!   thread count (`0` = all cores);
+//!   thread count (`0` = all cores); calls nested in its jobs share the
+//!   outermost call's threads;
 //! * [`cache`] — a concurrent two-level content-addressed memo cache,
 //!   design fingerprint × [`cache::LayerKey`] → inner-search result,
 //!   shared across a population, across generations, and across whole

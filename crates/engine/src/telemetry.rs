@@ -346,7 +346,8 @@ pub fn cache_counters<V>(cache: &MemoCache<V>) -> CacheCounters {
 /// Snapshot of the worker-pool section.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PoolSnapshot {
-    /// Jobs executed by `parallel_map` (both inline and pooled paths).
+    /// Jobs executed by `parallel_map` (inline, pooled and nested calls
+    /// alike).
     pub jobs: u64,
     /// Jobs whose closure panicked (contained by the pool).
     pub panics: u64,

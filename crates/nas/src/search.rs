@@ -55,7 +55,7 @@ pub struct NasOutcome {
     pub evaluations: usize,
 }
 
-/// Runs the evolutionary subnet search.
+/// Runs the evolutionary subnet search, scoring one subnet at a time.
 ///
 /// `evaluate` scores a lowered network (returns EDP, lower better;
 /// `None` marks an infeasible evaluation, e.g. no valid mapping found —
@@ -63,11 +63,39 @@ pub struct NasOutcome {
 /// *before* paying for evaluation, mirroring the paper's fast
 /// OFA-accuracy gate.
 ///
+/// A thin wrapper over [`search_subnet_batched`], which it matches call
+/// for call: `evaluate` sees the same networks in the same order.
+///
 /// Returns `None` when no feasible candidate was found within the budget.
 pub fn search_subnet(
     cfg: &NasConfig,
     accuracy_model: &AccuracyModel,
     mut evaluate: impl FnMut(&Network) -> Option<f64>,
+) -> Option<NasOutcome> {
+    search_subnet_batched(cfg, accuracy_model, |networks| {
+        networks.iter().map(&mut evaluate).collect()
+    })
+}
+
+/// [`search_subnet`] with each generation scored as one batch.
+///
+/// `evaluate` receives a generation's accuracy-feasible subnets, lowered
+/// to networks in population order, and must return one score per
+/// network in the same order (EDP, lower better; `None` discards the
+/// subnet). The scores are folded in population order, so the outcome
+/// (the strict-improvement `best`, the `evaluations` count) and the RNG
+/// stream are those of [`search_subnet`] with the same per-network
+/// scores; only *how* a generation is scored (one network at a time, or
+/// all of them on a thread pool) is up to the caller.
+///
+/// # Panics
+///
+/// Panics if `evaluate` returns a different number of scores than it
+/// was given networks.
+pub fn search_subnet_batched(
+    cfg: &NasConfig,
+    accuracy_model: &AccuracyModel,
+    mut evaluate: impl FnMut(&[Network]) -> Vec<Option<f64>>,
 ) -> Option<NasOutcome> {
     let space = ResNet50Space::paper();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -87,25 +115,37 @@ pub fn search_subnet(
 
     let mut best: Option<NasOutcome> = None;
     for _gen in 0..cfg.generations {
-        // Score the generation.
-        let mut scored: Vec<(Subnet, f64)> = Vec::with_capacity(population.len());
+        // Score the generation's accuracy-feasible subnets as one batch.
+        let mut feasible: Vec<(Subnet, f64)> = Vec::with_capacity(population.len());
         for s in &population {
             let acc = accuracy_model.predict(s);
             if acc < cfg.accuracy_floor {
                 continue;
             }
-            if let Some(edp) = evaluate(&s.to_network()) {
-                evaluations += 1;
-                scored.push((*s, edp));
-                let better = best.as_ref().is_none_or(|b| edp < b.reward);
-                if better {
-                    best = Some(NasOutcome {
-                        subnet: *s,
-                        reward: edp,
-                        accuracy: acc,
-                        evaluations,
-                    });
-                }
+            feasible.push((*s, acc));
+        }
+        let networks: Vec<Network> = feasible.iter().map(|(s, _)| s.to_network()).collect();
+        let edps = evaluate(&networks);
+        assert_eq!(
+            edps.len(),
+            networks.len(),
+            "evaluate must return one score per network"
+        );
+        let mut scored: Vec<(Subnet, f64)> = Vec::with_capacity(feasible.len());
+        for ((s, acc), edp) in feasible.into_iter().zip(edps) {
+            let Some(edp) = edp else {
+                continue;
+            };
+            evaluations += 1;
+            scored.push((s, edp));
+            let better = best.as_ref().is_none_or(|b| edp < b.reward);
+            if better {
+                best = Some(NasOutcome {
+                    subnet: s,
+                    reward: edp,
+                    accuracy: acc,
+                    evaluations,
+                });
             }
         }
         if scored.is_empty() {
@@ -216,5 +256,73 @@ mod tests {
         let b = search_subnet(&cfg, &m, |net| Some(net.total_macs() as f64)).unwrap();
         assert_eq!(a.subnet, b.subnet);
         assert_eq!(a.reward, b.reward);
+    }
+
+    /// An outcome with its floats as bits, so equality is exact.
+    fn exact(out: &Option<NasOutcome>) -> Option<(Subnet, u64, u64, usize)> {
+        out.as_ref().map(|o| {
+            (
+                o.subnet,
+                o.reward.to_bits(),
+                o.accuracy.to_bits(),
+                o.evaluations,
+            )
+        })
+    }
+
+    /// A per-network scorer under test.
+    type Evaluator<'a> = &'a dyn Fn(&Network) -> Option<f64>;
+
+    #[test]
+    fn batched_and_per_network_searches_agree() {
+        let macs = |net: &Network| net.total_macs() as f64;
+        // Best subnets of the MAC proxy land at 0.81–0.92 of the
+        // baseline's MACs, so this cap keeps some subnets and drops others.
+        let cap = 0.9 * macs(&Subnet::resnet50_baseline().to_network());
+        let capped = move |net: &Network| Some(macs(net)).filter(|&m| m <= cap);
+        let evaluators: [(&str, f64, Evaluator); 4] = [
+            ("mac proxy", 76.0, &|net| Some(macs(net))),
+            ("capped mac proxy", 76.0, &capped),
+            ("always infeasible", 76.0, &|_| None),
+            ("NaN floor", f64::NAN, &|net| Some(macs(net))),
+        ];
+        for (name, floor, evaluate) in evaluators {
+            let (mut kept, mut dropped) = (0, 0);
+            for seed in [0, 1, 5, 42] {
+                let cfg = NasConfig {
+                    population: 8,
+                    generations: 4,
+                    accuracy_floor: floor,
+                    seed,
+                    ..NasConfig::default()
+                };
+                let model = AccuracyModel::default();
+                let mut one_by_one = Vec::new();
+                let single = search_subnet(&cfg, &model, |net| {
+                    one_by_one.push(net.clone());
+                    evaluate(net)
+                });
+                let mut batches = Vec::new();
+                let batched = search_subnet_batched(&cfg, &model, |nets| {
+                    batches.extend_from_slice(nets);
+                    nets.iter().map(evaluate).collect()
+                });
+                assert_eq!(exact(&single), exact(&batched), "{name}, seed {seed}");
+                assert_eq!(one_by_one, batches, "{name}, seed {seed}");
+                let evaluations = single.map_or(0, |o| o.evaluations);
+                kept += evaluations;
+                dropped += one_by_one.len() - evaluations;
+            }
+            match name {
+                "capped mac proxy" => {
+                    assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped")
+                }
+                "always infeasible" => assert!(kept == 0 && dropped > 0, "{dropped} dropped"),
+                _ => assert!(
+                    kept > 0 && dropped == 0,
+                    "{name}: {kept} kept, {dropped} dropped"
+                ),
+            }
+        }
     }
 }
