@@ -16,7 +16,6 @@
 
 use crate::accelerator::Accelerator;
 use crate::connectivity::Connectivity;
-use crate::resource::ResourceConstraint;
 use crate::sizing::ArchitecturalSizing;
 use naas_ir::Dim;
 
@@ -98,21 +97,10 @@ pub fn all() -> Vec<Accelerator> {
     ]
 }
 
-/// The five deployment scenarios of §III-A0b: a resource envelope plus the
-/// benchmark-set tag (`true` = large-model set, `false` = mobile set).
-pub fn deployment_scenarios() -> Vec<(ResourceConstraint, bool)> {
-    vec![
-        (ResourceConstraint::from_design(&edge_tpu()), true),
-        (ResourceConstraint::from_design(&nvdla_1024()), true),
-        (ResourceConstraint::from_design(&nvdla_256()), false),
-        (ResourceConstraint::from_design(&eyeriss()), false),
-        (ResourceConstraint::from_design(&shidiannao()), false),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resource::ResourceConstraint;
 
     #[test]
     fn pe_counts_match_published_designs() {
@@ -141,13 +129,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 5);
-    }
-
-    #[test]
-    fn scenarios_partition_large_and_mobile() {
-        let scenarios = deployment_scenarios();
-        assert_eq!(scenarios.iter().filter(|(_, large)| *large).count(), 2);
-        assert_eq!(scenarios.iter().filter(|(_, large)| !*large).count(), 3);
     }
 
     #[test]

@@ -63,20 +63,6 @@ impl ArchitecturalSizing {
     pub fn dram_bandwidth(&self) -> f64 {
         self.dram_bandwidth
     }
-
-    /// Returns a copy with a different L1 capacity.
-    pub fn with_l1_bytes(mut self, l1_bytes: u64) -> Self {
-        assert!(l1_bytes > 0, "l1 size must be positive");
-        self.l1_bytes = l1_bytes;
-        self
-    }
-
-    /// Returns a copy with a different L2 capacity.
-    pub fn with_l2_bytes(mut self, l2_bytes: u64) -> Self {
-        assert!(l2_bytes > 0, "l2 size must be positive");
-        self.l2_bytes = l2_bytes;
-        self
-    }
 }
 
 impl fmt::Display for ArchitecturalSizing {
@@ -103,16 +89,6 @@ mod tests {
         assert_eq!(s.l2_bytes(), 1 << 20);
         assert_eq!(s.noc_bandwidth(), 32.0);
         assert_eq!(s.dram_bandwidth(), 8.0);
-    }
-
-    #[test]
-    fn with_updates_do_not_touch_other_fields() {
-        let s = ArchitecturalSizing::new(256, 1024, 32.0, 8.0)
-            .with_l1_bytes(512)
-            .with_l2_bytes(2048);
-        assert_eq!(s.l1_bytes(), 512);
-        assert_eq!(s.l2_bytes(), 2048);
-        assert_eq!(s.noc_bandwidth(), 32.0);
     }
 
     #[test]

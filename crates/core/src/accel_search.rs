@@ -18,15 +18,16 @@
 //! service-style batch evaluation build on.
 
 use crate::engine::CoSearchEngine;
-use crate::mapping_search::MappingSearchConfig;
+use crate::mapping_search::{check_budget_counts, MappingSearchConfig};
 use crate::pareto::ParetoArchive;
 use crate::reward::{ObjectivePolicy, RewardKind};
 use naas_accel::{area::AreaModel, Accelerator, ResourceConstraint};
 use naas_cost::{CostModel, NetworkCost, ObjectiveVector};
-use naas_engine::{parallel_map, CacheStats, CheckpointPolicy};
+use naas_engine::{parallel_map, CacheStats};
 use naas_ir::Network;
 use naas_opt::{CemEs, EncodingScheme, EsConfig, HardwareEncoder, Optimizer, RandomSearch};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 /// Outer-loop sampling strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,6 +94,21 @@ impl AccelSearchConfig {
             mapping: MappingSearchConfig::quick(seed),
             ..AccelSearchConfig::paper(seed)
         }
+    }
+
+    /// Checks every budget count, the inner search's included, against
+    /// [`crate::MAX_SEARCH_BUDGET`]; an error names the field after
+    /// `prefix`.
+    pub(crate) fn check_budget(&self, prefix: &str) -> Result<(), String> {
+        check_budget_counts(
+            prefix,
+            &[
+                ("population", self.population),
+                ("iterations", self.iterations),
+                ("resample_limit", self.resample_limit),
+            ],
+        )?;
+        self.mapping.check_budget(&format!("{prefix}mapping."))
     }
 }
 
@@ -317,16 +333,18 @@ pub struct AccelSearchState {
 }
 
 impl AccelSearchState {
-    /// Checks a state read from a checkpoint before it steps: the
-    /// optimizer's own state ([`Optimizer::check_state`]) and its
+    /// Checks a state read from a checkpoint before it steps: every
+    /// budget count of its config (at most [`crate::MAX_SEARCH_BUDGET`]),
+    /// the optimizer's own state ([`Optimizer::check_state`]) and its
     /// dimension against the hardware encoding of the recorded envelope.
     /// Every state [`accel_search_init`] and the step functions produce
-    /// passes.
+    /// from an in-bound config passes.
     ///
     /// # Errors
     ///
-    /// Names the first offending optimizer field.
+    /// Names the first offending config or optimizer field.
     pub fn check_loaded(&self) -> Result<(), String> {
+        self.config.check_budget("config.")?;
         self.optimizer
             .check_state()
             .map_err(|e| format!("optimizer: {e}"))?;
@@ -732,13 +750,13 @@ pub fn search_accelerator_seeded(
 /// The fully-general entry point: run (or continue) a search on a caller
 /// -supplied engine, optionally checkpointing. Sharing one engine across
 /// several searches shares the mapping cache between them; passing a
-/// [`CheckpointPolicy`] snapshots the [`AccelSearchState`] on its cadence
-/// and always once more when the search completes.
+/// checkpoint path snapshots the [`AccelSearchState`] to it after every
+/// generation.
 ///
 /// # Panics
 ///
 /// Same conditions as [`search_accelerator`]; additionally panics if a
-/// due checkpoint cannot be written (a search that silently stops being
+/// checkpoint cannot be written (a search that silently stops being
 /// resumable would be worse).
 pub fn search_accelerator_with(
     engine: &CoSearchEngine,
@@ -747,7 +765,7 @@ pub fn search_accelerator_with(
     constraint: &ResourceConstraint,
     cfg: &AccelSearchConfig,
     seeds: &[Accelerator],
-    checkpoint: Option<&CheckpointPolicy>,
+    checkpoint: Option<&Path>,
 ) -> AccelSearchResult {
     assert!(!networks.is_empty(), "need at least one benchmark network");
     let mut state = accel_search_init(constraint, cfg, seeds);
@@ -768,7 +786,7 @@ pub fn resume_accel_search(
     model: &CostModel,
     networks: &[Network],
     mut state: AccelSearchState,
-    checkpoint: Option<&CheckpointPolicy>,
+    checkpoint: Option<&Path>,
 ) -> AccelSearchResult {
     run_to_completion(engine, model, networks, &mut state, checkpoint);
     state.into_result().unwrap_or_else(|e| panic!("{e}"))
@@ -779,14 +797,12 @@ fn run_to_completion(
     model: &CostModel,
     networks: &[Network],
     state: &mut AccelSearchState,
-    checkpoint: Option<&CheckpointPolicy>,
+    checkpoint: Option<&Path>,
 ) {
     while accel_search_step(engine, model, networks, state) {
-        if let Some(policy) = checkpoint {
-            if policy.due_after(state.iteration - 1) || state.is_done() {
-                naas_engine::checkpoint::save(&policy.path, state)
-                    .unwrap_or_else(|e| panic!("cannot write checkpoint: {e}"));
-            }
+        if let Some(path) = checkpoint {
+            naas_engine::checkpoint::save(path, state)
+                .unwrap_or_else(|e| panic!("cannot write checkpoint: {e}"));
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::baselines::heuristic_network_cost;
 use naas_accel::{Accelerator, ArchitecturalSizing, Connectivity};
-use naas_cost::{CostModel, NetworkCost};
+use naas_cost::CostModel;
 use naas_ir::{Dim, Network};
 use serde::{Deserialize, Serialize};
 
@@ -164,12 +164,6 @@ pub fn search_nasaic_allocation(
         }
     }
     best
-}
-
-/// Summarizes a NAAS result in Table III's units for side-by-side
-/// comparison.
-pub fn table3_row(cost: &NetworkCost) -> (u64, f64, f64) {
-    (cost.cycles(), cost.energy_nj(), cost.edp())
 }
 
 #[cfg(test)]

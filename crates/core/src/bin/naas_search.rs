@@ -3,12 +3,12 @@
 //! ```text
 //! naas-search list
 //! naas-search run <scenario> [--preset smoke|quick|paper] [--seed N]
-//!                            [--threads N] [--checkpoint FILE] [--every K]
+//!                            [--threads N] [--checkpoint FILE]
 //!                            [--cache-file FILE] [--cache-cap N]
 //!                            [--workers host:port,...] [--metrics-file FILE]
 //!                            [--objectives scalar|pareto]
 //! naas-search run --file scenario.json [...]
-//! naas-search resume <checkpoint-file> [--threads N] [--every K]
+//! naas-search resume <checkpoint-file> [--threads N]
 //!                                      [--cache-file FILE] [--cache-cap N]
 //!                                      [--workers host:port,...|local]
 //!                                      [--metrics-file FILE]
@@ -38,7 +38,7 @@
 //! silently keep one of its values.
 //!
 //! `run` executes an accelerator search for a registered scenario (or one
-//! loaded from a JSON file), optionally checkpointing every K generations;
+//! loaded from a JSON file), optionally checkpointing after every generation;
 //! `resume` continues an interrupted run to completion — deterministically
 //! reproducing what the uninterrupted search would have returned; `show`
 //! summarizes a checkpoint without running anything.
@@ -67,7 +67,8 @@
 //! re-issued (first answer wins). See docs/OPERATIONS.md ("The scheduler"). The
 //! retired `--microshards` and `--steal-deadline` are refused like any
 //! unknown flag, and a checkpoint whose shard plan records them resumes
-//! on the fixed policy.
+//! on the fixed policy. The retired `--every` is refused too: `run` and
+//! `resume` checkpoint after every generation.
 //!
 //! `--cache-file` persists the engine's mapping memo cache: entries are
 //! warm-loaded before the search starts (if the file exists) and the
@@ -120,7 +121,7 @@
 use naas::prelude::*;
 use naas::{accel_search_init, AccelSearchState};
 use naas_engine::telemetry::{self, Level};
-use naas_engine::{checkpoint, scenario, CheckpointPolicy, Scenario};
+use naas_engine::{checkpoint, scenario, Scenario};
 use serde::{Deserialize, Serialize, Value};
 use std::process::exit;
 
@@ -140,10 +141,10 @@ fn usage() -> ! {
         Level::Error,
         "usage",
         "usage:\n  naas-search list\n  naas-search run <scenario|--file scenario.json> \
-         [--preset smoke|quick|paper] [--seed N] [--threads N] [--checkpoint FILE] [--every K] \
+         [--preset smoke|quick|paper] [--seed N] [--threads N] [--checkpoint FILE] \
          [--cache-file FILE] [--cache-cap N] [--workers host:port,...] [--metrics-file FILE] \
          [--objectives scalar|pareto]\n  \
-         naas-search resume <checkpoint-file> [--threads N] [--every K] [--cache-file FILE] \
+         naas-search resume <checkpoint-file> [--threads N] [--cache-file FILE] \
          [--cache-cap N] [--workers host:port,...|local] [--metrics-file FILE] \
          [--objectives scalar|pareto]\n  \
          naas-search show <checkpoint-file>\n  \
@@ -195,7 +196,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "seed",
             "threads",
             "checkpoint",
-            "every",
             "cache-file",
             "cache-cap",
             "workers",
@@ -204,7 +204,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
         ],
         "resume" => &[
             "threads",
-            "every",
             "cache-file",
             "cache-cap",
             "workers",
@@ -377,10 +376,7 @@ fn cmd_run(args: &Args) {
     let threads = args.get_num("threads").unwrap_or(0);
     let cfg = search_config(args, seed, threads);
 
-    let policy = args.get("checkpoint").map(|path| CheckpointPolicy {
-        path: path.into(),
-        every: args.get_num("every").unwrap_or(1),
-    });
+    let checkpoint_file = args.get("checkpoint").map(std::path::Path::new);
 
     println!(
         "searching `{}` — {} network(s) within {} resources, population {} × {} generations",
@@ -408,7 +404,7 @@ fn cmd_run(args: &Args) {
         &model,
         &job,
         state,
-        policy.as_ref(),
+        checkpoint_file,
         cache_file,
         &mut driver,
     );
@@ -569,13 +565,8 @@ fn cmd_resume(args: &Args) {
     let threads = args
         .get_num("threads")
         .unwrap_or(snapshot.state.config.threads);
-    // A resumed run keeps checkpointing to the file it came from (same
-    // cadence flag as `run`), so a second interruption loses at most
-    // `--every` generations — not everything since the first crash.
-    let policy = CheckpointPolicy {
-        path: path.into(),
-        every: args.get_num("every").unwrap_or(1),
-    };
+    // A resumed run keeps checkpointing to the file it came from, so a
+    // second interruption loses at most one generation.
 
     println!(
         "resuming `{}` at generation {}/{} from {path}",
@@ -620,14 +611,15 @@ fn cmd_resume(args: &Args) {
         &model,
         &job,
         snapshot.state,
-        Some(&policy),
+        Some(std::path::Path::new(path)),
         cache_file,
         &mut driver,
     );
 }
 
-/// Steps a search to completion with progress lines and (optionally)
-/// per-generation `SearchCheckpoint` snapshots; prints the final report.
+/// Steps a search to completion with progress lines and (optionally) a
+/// `SearchCheckpoint` snapshot after every generation; prints the final
+/// report.
 /// With a cache file, the memo cache is persisted alongside every
 /// checkpoint write and once more at completion, so an interrupted run
 /// resumes with its mapping results already warm.
@@ -637,7 +629,7 @@ fn drive(
     model: &CostModel,
     job: &naas_engine::EvalJob,
     mut state: AccelSearchState,
-    policy: Option<&CheckpointPolicy>,
+    checkpoint_file: Option<&std::path::Path>,
     cache_file: Option<&std::path::Path>,
     driver: &mut Driver,
 ) {
@@ -657,17 +649,14 @@ fn drive(
                 .unwrap_or_default()
         );
         write_metrics_snapshot(engine);
-        let due = policy
-            .map(|p| p.due_after(state.iteration - 1))
-            .unwrap_or(false);
-        if due || state.is_done() {
-            if let Some(policy) = policy {
+        if checkpoint_file.is_some() || state.is_done() {
+            if let Some(path) = checkpoint_file {
                 let snapshot = SearchCheckpoint {
                     scenario: job.scenario.clone(),
                     state: state.clone(),
                     shards: driver.plan(),
                 };
-                checkpoint::save(&policy.path, &snapshot)
+                checkpoint::save(path, &snapshot)
                     .unwrap_or_else(|e| fail(format!("cannot write checkpoint: {e}")));
             }
             if let Some(path) = cache_file {

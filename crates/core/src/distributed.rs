@@ -1316,14 +1316,11 @@ fn worker_loop<T: Send>(
             break 'run;
         }
 
-        // ---- receive one reply: drain the already-arrived fast path
-        // first, then wait at most a tick ----
+        // ---- receive one reply, waiting at most a tick (a reply
+        // already in the read buffer returns without touching the
+        // socket) ----
         if remote.pending() > 0 {
-            let received = match remote.recv_ready() {
-                Ok(None) => remote.recv_next(SCHED_TICK),
-                other => other,
-            };
-            match received {
+            match remote.recv_next(SCHED_TICK) {
                 Ok(None) => {}
                 Ok(Some((id, inner))) => {
                     let fid = my_flights

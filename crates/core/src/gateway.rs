@@ -408,7 +408,8 @@ impl GatewayCore {
     /// the default, or `"joint"`), `tenant` (string, default
     /// `"default"`), `weight` (u64 ≥ 1, default 1), `seed` (u64,
     /// default 0), and either `preset` (`"quick"` default / `"paper"`)
-    /// or a full `config` object overriding it.
+    /// or a full `config` object overriding it, whose budget counts are
+    /// each at most [`crate::MAX_SEARCH_BUDGET`].
     fn job_submit(&self, request: &Request) -> Result<Value, String> {
         // Reject before doing any resolution work: admission is the
         // cheap path and must stay cheap under overload.
@@ -469,6 +470,8 @@ impl GatewayCore {
                         }
                     },
                 };
+                cfg.check_budget("config.")
+                    .map_err(|e| format!("bad request: {e}"))?;
                 if eval_job.networks.is_empty() {
                     return Err("bad request: scenario has no benchmark networks".into());
                 }
@@ -492,6 +495,8 @@ impl GatewayCore {
                         }
                     },
                 };
+                cfg.check_budget("config.")
+                    .map_err(|e| format!("bad request: {e}"))?;
                 JobState::Joint(joint_search_init(&eval_job.constraint, &cfg))
             }
             other => {

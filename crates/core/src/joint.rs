@@ -37,15 +37,17 @@
 
 use crate::accel_search::AccelSearchConfig;
 use crate::engine::CoSearchEngine;
+use crate::mapping_search::check_budget_counts;
 use crate::pareto::ParetoArchive;
 use crate::reward::ObjectivePolicy;
 use naas_accel::{area::AreaModel, Accelerator, ResourceConstraint};
 use naas_cost::{CostModel, ObjectiveVector};
-use naas_engine::{parallel_map, CheckpointPolicy};
+use naas_engine::parallel_map;
 use naas_nas::search::search_subnet_batched;
 use naas_nas::{AccuracyModel, NasConfig, Subnet};
 use naas_opt::{CemEs, HardwareEncoder, Optimizer};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 /// Configuration of the joint search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,6 +73,26 @@ impl JointConfig {
             },
         }
     }
+
+    /// Checks every budget count of the three nested searches against
+    /// [`crate::MAX_SEARCH_BUDGET`]; an error names the field after
+    /// `prefix`.
+    pub(crate) fn check_budget(&self, prefix: &str) -> Result<(), String> {
+        self.accel.check_budget(&format!("{prefix}accel."))?;
+        check_nas_budget(&self.nas, &format!("{prefix}nas."))
+    }
+}
+
+/// Checks a NAS budget's `population` and `generations` against
+/// [`crate::MAX_SEARCH_BUDGET`]; an error names the field after `prefix`.
+pub(crate) fn check_nas_budget(nas: &NasConfig, prefix: &str) -> Result<(), String> {
+    check_budget_counts(
+        prefix,
+        &[
+            ("population", nas.population),
+            ("generations", nas.generations),
+        ],
+    )
 }
 
 /// One joint candidate's complete evaluation: the NAS outcome for this
@@ -461,8 +483,7 @@ pub fn search_joint(
 }
 
 /// [`search_joint`] on a caller-supplied engine, sharing its mapping
-/// cache with whatever else runs on it (e.g. the other floors of a
-/// [`pareto_sweep`]).
+/// cache with whatever else runs on it.
 pub fn search_joint_with(
     engine: &CoSearchEngine,
     model: &CostModel,
@@ -476,21 +497,21 @@ pub fn search_joint_with(
 }
 
 /// Continues a checkpointed joint search to completion, optionally
-/// keeping up the checkpoint cadence. The caller must supply the same
-/// cost and accuracy models the original run used (the state embeds
-/// everything else). Resuming produces the identical final result an
-/// uninterrupted run would have.
+/// checkpointing to `checkpoint` after every generation. The caller must
+/// supply the same cost and accuracy models the original run used (the
+/// state embeds everything else). Resuming produces the identical final
+/// result an uninterrupted run would have.
 ///
 /// # Panics
 ///
-/// Panics if a due checkpoint cannot be written (a search that silently
+/// Panics if a checkpoint cannot be written (a search that silently
 /// stops being resumable would be worse).
 pub fn resume_joint_search(
     engine: &CoSearchEngine,
     model: &CostModel,
     accuracy_model: &AccuracyModel,
     mut state: JointSearchState,
-    checkpoint: Option<&CheckpointPolicy>,
+    checkpoint: Option<&Path>,
 ) -> Option<JointResult> {
     run_joint_to_completion(engine, model, accuracy_model, &mut state, checkpoint);
     state.into_result()
@@ -501,51 +522,14 @@ fn run_joint_to_completion(
     model: &CostModel,
     accuracy_model: &AccuracyModel,
     state: &mut JointSearchState,
-    checkpoint: Option<&CheckpointPolicy>,
+    checkpoint: Option<&Path>,
 ) {
     while joint_search_step(engine, model, accuracy_model, state) {
-        if let Some(policy) = checkpoint {
-            if policy.due_after(state.iteration - 1) || state.is_done() {
-                naas_engine::checkpoint::save(&policy.path, state)
-                    .unwrap_or_else(|e| panic!("cannot write checkpoint: {e}"));
-            }
+        if let Some(path) = checkpoint {
+            naas_engine::checkpoint::save(path, state)
+                .unwrap_or_else(|e| panic!("cannot write checkpoint: {e}"));
         }
     }
-}
-
-/// One point of an accuracy-vs-EDP Pareto sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParetoEntry {
-    /// Accuracy floor the point was searched under (percent).
-    pub floor: f64,
-    /// The matched tuple found at this floor.
-    pub result: JointResult,
-}
-
-/// Extension beyond the paper's single Fig. 10 point: sweeps the joint
-/// search over a list of accuracy floors, producing the full
-/// accuracy-vs-EDP trade-off curve of the co-design space. Floors that
-/// admit no feasible tuple are skipped. All floors share one engine, so
-/// mapping results computed for one floor are reused by the others.
-pub fn pareto_sweep(
-    model: &CostModel,
-    constraint: &ResourceConstraint,
-    accuracy_model: &AccuracyModel,
-    cfg: &JointConfig,
-    floors: &[f64],
-) -> Vec<ParetoEntry> {
-    let engine = CoSearchEngine::new(cfg.accel.threads);
-    let mut out = Vec::with_capacity(floors.len());
-    for (i, &floor) in floors.iter().enumerate() {
-        let mut swept = *cfg;
-        swept.nas.accuracy_floor = floor;
-        swept.nas.seed = cfg.nas.seed.wrapping_add(i as u64);
-        if let Some(result) = search_joint_with(&engine, model, constraint, accuracy_model, &swept)
-        {
-            out.push(ParetoEntry { floor, result });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -697,35 +681,13 @@ mod tests {
     }
 
     #[test]
-    fn pareto_sweep_respects_floors() {
-        let model = CostModel::new();
-        let envelope = ResourceConstraint::from_design(&baselines::eyeriss());
-        let cfg = JointConfig::quick(8);
-        let accuracy = AccuracyModel::default();
-        let entries = pareto_sweep(&model, &envelope, &accuracy, &cfg, &[74.0, 76.5]);
-        assert!(!entries.is_empty());
-        for e in &entries {
-            assert!(
-                e.result.accuracy >= e.floor,
-                "floor {} violated by {}",
-                e.floor,
-                e.result.accuracy
-            );
-        }
-        // Higher floors cannot make EDP better (larger feasible nets).
-        if entries.len() == 2 {
-            assert!(entries[1].result.edp >= entries[0].result.edp * 0.5);
-        }
-    }
-
-    #[test]
     fn infeasible_floor_is_skipped() {
         let model = CostModel::new();
         let envelope = ResourceConstraint::from_design(&baselines::shidiannao());
-        let cfg = JointConfig::quick(9);
-        let accuracy = AccuracyModel::default();
+        let mut cfg = JointConfig::quick(9);
         // 99% is above the surrogate's ceiling — no feasible subnet.
-        let entries = pareto_sweep(&model, &envelope, &accuracy, &cfg, &[99.0]);
-        assert!(entries.is_empty());
+        cfg.nas.accuracy_floor = 99.0;
+        let accuracy = AccuracyModel::default();
+        assert_eq!(search_joint(&model, &envelope, &accuracy, &cfg), None);
     }
 }

@@ -43,7 +43,6 @@ pub mod distributed;
 pub mod engine;
 pub mod gateway;
 pub mod joint;
-pub mod layer_cache;
 pub mod mapping_search;
 pub mod pareto;
 pub mod pipeline;
@@ -62,13 +61,13 @@ pub use engine::CoSearchEngine;
 pub use gateway::{GatewayConfig, GatewayService, JobStatus};
 pub use joint::{
     evaluate_joint_candidate, joint_commit_generation, joint_nas_seed, joint_sample_generation,
-    joint_search_init, joint_search_step, joint_search_step_with, pareto_sweep,
-    resume_joint_search, search_joint, search_joint_with, JointCandidateEval, JointConfig,
-    JointResult, JointSampledGeneration, JointSearchState, ParetoEntry,
+    joint_search_init, joint_search_step, joint_search_step_with, resume_joint_search,
+    search_joint, search_joint_with, JointCandidateEval, JointConfig, JointResult,
+    JointSampledGeneration, JointSearchState,
 };
 pub use mapping_search::{
     network_mapping_search_cached, search_layer_mapping, search_layer_mapping_with,
-    MappingSearchConfig, MappingSearchResult,
+    MappingSearchConfig, MappingSearchResult, MAX_SEARCH_BUDGET,
 };
 pub use pareto::{ArchiveEntry, ParetoArchive};
 pub use pipeline::{with_thread_pipeline, EvalPipeline};

@@ -7,7 +7,6 @@
 //! PE-level order.
 
 use crate::engine::MappingMemo;
-use crate::layer_cache::LayerCache;
 use crate::pipeline::EvalPipeline;
 use naas_accel::Accelerator;
 use naas_cost::{CostModel, LayerCost, NetworkCost};
@@ -16,6 +15,7 @@ use naas_ir::{ConvSpec, Network};
 use naas_mapping::Mapping;
 use naas_opt::{CemEs, EncodingScheme, EsConfig, MappingEncoder, Optimizer, RandomSearch};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Configuration of the per-layer mapping search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,6 +66,37 @@ impl MappingSearchConfig {
             seed,
             ..MappingSearchConfig::default()
         }
+    }
+
+    /// Checks `population`, `iterations` and `resample_limit` against
+    /// [`MAX_SEARCH_BUDGET`]; an error names the field after `prefix`.
+    pub(crate) fn check_budget(&self, prefix: &str) -> Result<(), String> {
+        check_budget_counts(
+            prefix,
+            &[
+                ("population", self.population),
+                ("iterations", self.iterations),
+                ("resample_limit", self.resample_limit),
+            ],
+        )
+    }
+}
+
+/// The largest `population`, `iterations`, `generations` or
+/// `resample_limit` a search accepts from a request, a job or a
+/// checkpoint. Searches size buffers from these counts before they run,
+/// and a failed allocation aborts the process; no budget this repository
+/// sets exceeds 64.
+pub const MAX_SEARCH_BUDGET: usize = 65_536;
+
+/// Checks each named count against [`MAX_SEARCH_BUDGET`]; an error
+/// names the first count above it, after `prefix`.
+pub(crate) fn check_budget_counts(prefix: &str, counts: &[(&str, usize)]) -> Result<(), String> {
+    match counts.iter().find(|&&(_, n)| n > MAX_SEARCH_BUDGET) {
+        Some((name, n)) => Err(format!(
+            "`{prefix}{name}` is {n}, above the search budget bound {MAX_SEARCH_BUDGET}"
+        )),
+        None => Ok(()),
     }
 }
 
@@ -220,11 +251,12 @@ pub fn network_mapping_search(
     accel: &Accelerator,
     cfg: &MappingSearchConfig,
 ) -> Option<NetworkCost> {
-    let mut cache: LayerCache<Option<MappingSearchResult>> = LayerCache::new();
+    let mut cache: HashMap<LayerKey, Option<MappingSearchResult>> = HashMap::new();
     let mut layers = Vec::with_capacity(network.len());
     for layer in network {
         let result = cache
-            .get_or_insert_with(layer, || search_layer_mapping(model, layer, accel, cfg))
+            .entry(LayerKey::of(layer))
+            .or_insert_with(|| search_layer_mapping(model, layer, accel, cfg))
             .as_ref()?;
         layers.push(result.cost);
     }
@@ -305,6 +337,19 @@ mod tests {
 
     fn layer() -> ConvSpec {
         ConvSpec::conv2d("c", 64, 128, (28, 28), (3, 3), 1, 1).unwrap()
+    }
+
+    #[test]
+    fn budget_bound_is_inclusive_and_names_the_field() {
+        let mut cfg = MappingSearchConfig {
+            population: MAX_SEARCH_BUDGET,
+            resample_limit: MAX_SEARCH_BUDGET,
+            ..MappingSearchConfig::default()
+        };
+        assert_eq!(cfg.check_budget("m."), Ok(()));
+        cfg.resample_limit = MAX_SEARCH_BUDGET + 1;
+        let err = cfg.check_budget("m.").unwrap_err();
+        assert!(err.starts_with("`m.resample_limit` is 65537"), "{err}");
     }
 
     #[test]

@@ -45,7 +45,8 @@
 
 use crate::accel_search;
 use crate::engine::CoSearchEngine;
-use crate::mapping_search::{self, MappingSearchConfig};
+use crate::joint::check_nas_budget;
+use crate::mapping_search::{self, check_budget_counts, MappingSearchConfig};
 use crate::reward::RewardKind;
 use naas_accel::Accelerator;
 use naas_cost::{CostModel, LayerCost};
@@ -504,7 +505,7 @@ impl BatchEvalService {
     /// service-wide budget, with an optional per-request `seed` and an
     /// optional `mapping_budget` override
     /// (`{"population": N, "iterations": N}`, either field alone is
-    /// fine).
+    /// fine, each at most [`crate::MAX_SEARCH_BUDGET`]).
     ///
     /// Overrides never pollute the shared cache: the whole
     /// [`MappingSearchConfig`] is part of the design fingerprint
@@ -536,7 +537,10 @@ impl BatchEvalService {
                                 "`mapping_budget.{field}` must be a positive integer"
                             ))
                         })?;
-                        *slot = n as usize;
+                        let n = usize::try_from(n).unwrap_or(usize::MAX);
+                        check_budget_counts("mapping_budget.", &[(field, n)])
+                            .map_err(ServiceError::BadRequest)?;
+                        *slot = n;
                     }
                 }
             }
@@ -704,6 +708,9 @@ impl BatchEvalService {
                 .map_err(|e| ServiceError::BadRequest(format!("invalid mapping config: {e}")))?,
             None => self.mapping_config(request)?,
         };
+        mapping
+            .check_budget("mapping.")
+            .map_err(ServiceError::BadRequest)?;
 
         if self.config.eval_delay_us > 0 {
             let _slow = self
@@ -794,6 +801,7 @@ impl BatchEvalService {
             ServiceError::BadRequest("`joint.nas` (NAS config object) is required".into())
         })?)
         .map_err(|e| ServiceError::BadRequest(format!("invalid joint.nas config: {e}")))?;
+        check_nas_budget(&nas, "joint.nas.").map_err(ServiceError::BadRequest)?;
         let seeds: Vec<u64> = serde_json::from_value(joint.get("seeds").ok_or_else(|| {
             ServiceError::BadRequest("`joint.seeds` (one u64 per candidate) is required".into())
         })?)

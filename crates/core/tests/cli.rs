@@ -142,10 +142,11 @@ fn assert_refused_before_dialing(args: &[&str], flag: &str) {
 }
 
 /// A flag the subcommand does not read is a usage error naming it — a
-/// typo, and the flags this build retired (`--overlap`, and the
-/// scheduler's `--microshards` and `--steal-deadline`, whatever their
-/// value) — and so is a flag given twice. Each is refused before any
-/// worker is dialed, on `run`, `resume` and `gateway`.
+/// typo, and the flags this build retired (`--overlap`, the scheduler's
+/// `--microshards` and `--steal-deadline`, whatever their value, and the
+/// checkpoint cadence `--every`) — and so is a flag given twice. Each
+/// is refused before any worker is dialed, on `run`, `resume` and
+/// `gateway`.
 #[test]
 fn unknown_retired_and_degenerate_flags_are_refused_before_dialing() {
     let run = ["run", "cifar-eyeriss", "--preset", "smoke"];
@@ -163,6 +164,9 @@ fn unknown_retired_and_degenerate_flags_are_refused_before_dialing() {
     assert_refused_before_dialing(&["gateway", "--microshards", "6"], "--microshards");
     let resume = ["resume", "missing.ckpt", "--steal-deadline", "50"];
     assert_refused_before_dialing(&resume, "--steal-deadline");
+    assert_refused_before_dialing(&["resume", "missing.ckpt", "--every", "1"], "--every");
+    let every = [&run[..], &["--checkpoint", "unused.ckpt", "--every", "1"]].concat();
+    assert_refused_before_dialing(&every, "--every");
     assert_refused_before_dialing(&["gateway", "--wokers", "2"], "--wokers");
 }
 
@@ -395,13 +399,13 @@ fn cache_entry_with_zero_trip_count_is_refused() {
     });
 }
 
-/// The final checkpoint of a smoke run with `--every 1`, run once per
-/// test process (its file is removed once read).
+/// The final checkpoint of a smoke run, run once per test process (its
+/// file is removed once read).
 fn smoke_checkpoint() -> &'static str {
     static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
     TEXT.get_or_init(|| {
         let path = temp_checkpoint("smoke-state");
-        run_search(&["--checkpoint", &path, "--every", "1"]);
+        run_search(&["--checkpoint", &path]);
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         text
@@ -466,4 +470,146 @@ fn resume_refuses_a_dim_the_design_space_does_not_have() {
             }
         }
     });
+}
+
+/// A search budget count far above `naas::MAX_SEARCH_BUDGET`: sizing a
+/// buffer from it fails to allocate, which aborts the process.
+const HUGE_BUDGET: usize = 1 << 45;
+
+/// Feeds `lines` to a stdio `naas-search` server started with `args`,
+/// closes its stdin, and returns its response lines after asserting it
+/// exited 0 — a process that aborted on a request fails here instead of
+/// taking the test harness with it.
+fn serve_lines(args: &[&str], lines: &[String]) -> Vec<Value> {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_naas-search"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("naas-search starts");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    for line in lines {
+        writeln!(stdin, "{line}").expect("the server reads its stdin");
+    }
+    drop(stdin);
+    let output = child.wait_with_output().expect("naas-search runs");
+    assert!(
+        output.status.success(),
+        "{args:?} exited {:?}: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout)
+        .expect("UTF-8 output")
+        .lines()
+        .map(|line| serde_json::parse_str(line).expect("a JSON response line"))
+        .collect()
+}
+
+/// Asserts `response` answers request `id` with an error naming `field`.
+fn assert_budget_refused(response: &Value, id: u64, field: &str) {
+    assert_eq!(response.get("id").and_then(Value::as_u64), Some(id));
+    assert_eq!(
+        response.get("ok").and_then(Value::as_bool),
+        Some(false),
+        "{response:?}"
+    );
+    let error = response.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        error.starts_with("bad request") && error.contains(&format!("`{field}`")),
+        "request {id} must be refused naming `{field}`: {error}"
+    );
+}
+
+/// Asserts `response` answers request `id` successfully.
+fn assert_answered(response: &Value, id: u64) {
+    assert_eq!(response.get("id").and_then(Value::as_u64), Some(id));
+    assert_eq!(
+        response.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{response:?}"
+    );
+}
+
+/// An over-budget `search_layer` override, `evaluate_shard` mapping
+/// config or joint NAS config is a bad request naming the field, and
+/// the server goes on to answer the next line.
+#[test]
+fn serve_refuses_over_budget_searches_and_keeps_answering() {
+    let layer = r#"{"in_channels": 16, "out_channels": 16, "in_y": 8, "in_x": 8, "kernel_r": 3, "kernel_s": 3, "stride": 1, "padding": 1}"#;
+    let design = serde_json::to_string(&naas_accel::baselines::eyeriss()).unwrap();
+    let mut mapping = naas::MappingSearchConfig::quick(1);
+    mapping.iterations = HUGE_BUDGET;
+    let mapping = serde_json::to_string(&mapping).unwrap();
+    let nas = naas_nas::NasConfig {
+        population: HUGE_BUDGET,
+        ..naas_nas::NasConfig::default()
+    };
+    let nas = serde_json::to_string(&nas).unwrap();
+    let lines = [
+        format!(
+            r#"{{"id": 1, "cmd": "search_layer", "design": "Eyeriss", "layer": {layer}, "mapping_budget": {{"iterations": {HUGE_BUDGET}}}}}"#
+        ),
+        format!(
+            r#"{{"id": 2, "cmd": "evaluate_shard", "scenario": "cifar-eyeriss", "candidates": [{design}], "mapping": {mapping}}}"#
+        ),
+        format!(
+            r#"{{"id": 3, "cmd": "evaluate_shard", "candidates": [{design}], "joint": {{"nas": {nas}, "seeds": [1]}}}}"#
+        ),
+        r#"{"id": 4, "cmd": "cache_stats"}"#.to_string(),
+        r#"{"id": 5, "cmd": "shutdown"}"#.to_string(),
+    ];
+    let responses = serve_lines(&["serve", "--preset", "smoke", "--threads", "1"], &lines);
+    assert_eq!(responses.len(), 5, "{responses:?}");
+    assert_budget_refused(&responses[0], 1, "mapping_budget.iterations");
+    assert_budget_refused(&responses[1], 2, "mapping.iterations");
+    assert_budget_refused(&responses[2], 3, "joint.nas.population");
+    assert_answered(&responses[3], 4);
+    assert_answered(&responses[4], 5);
+}
+
+/// A `job_submit` whose accel or joint config carries an over-budget
+/// count is a bad request naming the field, and the gateway goes on to
+/// answer the next line.
+#[test]
+fn gateway_refuses_over_budget_jobs_and_keeps_answering() {
+    let mut accel = naas::AccelSearchConfig::quick(1);
+    accel.iterations = HUGE_BUDGET;
+    let accel = serde_json::to_string(&accel).unwrap();
+    let mut joint = naas::JointConfig::quick(1);
+    joint.nas.generations = HUGE_BUDGET;
+    let joint = serde_json::to_string(&joint).unwrap();
+    let lines = [
+        format!(
+            r#"{{"id": 1, "cmd": "job_submit", "scenario": "cifar-eyeriss", "config": {accel}}}"#
+        ),
+        format!(
+            r#"{{"id": 2, "cmd": "job_submit", "scenario": "cifar-eyeriss", "kind": "joint", "config": {joint}}}"#
+        ),
+        r#"{"id": 3, "cmd": "cache_stats"}"#.to_string(),
+        r#"{"id": 4, "cmd": "shutdown"}"#.to_string(),
+    ];
+    let responses = serve_lines(&["gateway", "--preset", "smoke", "--threads", "1"], &lines);
+    assert_eq!(responses.len(), 4, "{responses:?}");
+    assert_budget_refused(&responses[0], 1, "config.iterations");
+    assert_budget_refused(&responses[1], 2, "config.nas.generations");
+    assert_answered(&responses[2], 3);
+    assert_answered(&responses[3], 4);
+}
+
+/// `resume` of a checkpoint whose search population is over budget
+/// exits 1 naming the field, before the search allocates anything.
+#[test]
+fn resume_refuses_an_over_budget_population() {
+    let mut checkpoint = serde_json::parse_str(smoke_checkpoint()).unwrap();
+    let state = member(&mut checkpoint, "state");
+    *member(state, "iteration") = Value::U64(1);
+    *member(member(state, "config"), "population") = Value::U64(HUGE_BUDGET as u64);
+    let path = temp_checkpoint("over-budget");
+    std::fs::write(&path, serde_json::value_to_string(&checkpoint)).unwrap();
+    assert_refused(&["resume", &path], &["`config.population`"]);
+    let _ = std::fs::remove_file(&path);
 }

@@ -40,10 +40,8 @@ pub mod capacity;
 pub mod energy;
 pub mod model;
 pub mod objective;
-pub mod report;
 pub mod reuse;
 pub mod scratch;
-pub mod sweep;
 pub mod tensor;
 pub mod traffic;
 pub mod widths;

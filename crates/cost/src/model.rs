@@ -407,6 +407,23 @@ mod tests {
     }
 
     #[test]
+    fn balanced_mapping_reuses_weights_near_the_bound() {
+        // Each weight read once from DRAM serves macs / weight_elems
+        // MACs; no mapping can beat that, and a weight-stationary-ish
+        // balanced mapping comes close.
+        let accel = baselines::edge_tpu();
+        let l = ConvSpec::conv2d("c", 128, 128, (28, 28), (3, 3), 1, 1).unwrap();
+        let c = eval(&accel, &l);
+        let bound = l.macs() as f64 / l.weight_elems() as f64;
+        let achieved = l.macs() as f64 / c.traffic.tensor(crate::Tensor::Weights).dram_bytes;
+        assert!(
+            achieved <= bound * 1.001,
+            "cannot exceed the reuse bound: {achieved} vs {bound}"
+        );
+        assert!(achieved > bound * 0.2, "balanced mapping should reuse well");
+    }
+
+    #[test]
     fn more_pes_do_not_hurt_compute_roofline() {
         let l = layer();
         let small = eval(&baselines::nvdla_256(), &l);

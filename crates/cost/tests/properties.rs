@@ -1,6 +1,6 @@
 //! Property-based tests of the cost model's physical invariants.
 
-use naas_accel::{baselines, Accelerator};
+use naas_accel::{baselines, Accelerator, ArchitecturalSizing};
 use naas_cost::reuse::{distinct_tiles, fetch_multiplier, Loop};
 use naas_cost::{capacity, CostError, CostModel, DataWidths, Tensor};
 use naas_ir::{ConvSpec, Dim, DimVec};
@@ -50,6 +50,22 @@ fn mappings_for(layer: &ConvSpec, accel: &Accelerator, seed: &mut u64) -> Vec<Ma
         }
     }
     out
+}
+
+/// `accel` with its NoC bandwidth scaled `noc`-fold and its DRAM
+/// bandwidth `dram`-fold.
+fn scale_bandwidth(accel: &Accelerator, noc: f64, dram: f64) -> Accelerator {
+    let s = accel.sizing();
+    Accelerator::new(
+        "scaled",
+        ArchitecturalSizing::new(
+            s.l1_bytes(),
+            s.l2_bytes(),
+            s.noc_bandwidth() * noc,
+            s.dram_bandwidth() * dram,
+        ),
+        accel.connectivity().clone(),
+    )
 }
 
 fn arb_loops() -> impl Strategy<Value = Vec<Loop>> {
@@ -130,6 +146,29 @@ proptest! {
                 prop_assert!(o.dram_bytes >= 4.0 * layer.output_elems() as f64);
                 // Deliveries dominate unique traffic (multicast only adds copies).
                 prop_assert!(cost.traffic.noc_total() >= cost.traffic.l2_total() * 0.999);
+            }
+        }
+    }
+
+    /// Reuse factors decrease down the hierarchy: each tensor's bytes are
+    /// touched more often the closer they sit to the MACs, so its
+    /// MACs-per-byte is highest at DRAM and lowest (but finite) at L1,
+    /// for valid evaluations of the balanced mapping and random decodes
+    /// on every baseline.
+    #[test]
+    fn reuse_factors_decrease_down_the_hierarchy(layer in arb_layer(), seed in 0u64..1 << 32) {
+        let model = CostModel::new();
+        let mut seed = seed;
+        for accel in baselines::all() {
+            for mapping in mappings_for(&layer, &accel, &mut seed) {
+                let Ok(cost) = model.evaluate(&layer, &accel, &mapping) else {
+                    continue;
+                };
+                for (i, t) in cost.traffic.per_tensor.iter().enumerate() {
+                    prop_assert!(t.l2_bytes >= t.dram_bytes * 0.999, "tensor {i}: {t:?}\n{mapping}");
+                    prop_assert!(t.l1_bytes >= t.l2_bytes * 0.999, "tensor {i}: {t:?}\n{mapping}");
+                    prop_assert!(t.l1_bytes.is_finite(), "tensor {i}: {t:?}\n{mapping}");
+                }
             }
         }
     }
@@ -217,6 +256,99 @@ proptest! {
                     );
                     prop_assert_eq!(a.cycles, b.cycles);
                 }
+            }
+        }
+    }
+
+    /// More NoC bandwidth never hurts: with it raised `factor`-fold on
+    /// every baseline, the balanced mapping and random decodes keep their
+    /// validity and never take more cycles.
+    #[test]
+    fn more_noc_bandwidth_never_hurts(
+        layer in arb_layer(),
+        seed in 0u64..1 << 32,
+        factor in 1.0f64..256.0,
+    ) {
+        let model = CostModel::new();
+        let mut seed = seed;
+        for accel in baselines::all() {
+            let fast = scale_bandwidth(&accel, factor, 1.0);
+            for mapping in mappings_for(&layer, &accel, &mut seed) {
+                match (
+                    model.evaluate(&layer, &accel, &mapping),
+                    model.evaluate(&layer, &fast, &mapping),
+                ) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert!(b.cycles <= a.cycles, "{} > {}", b.cycles, a.cycles)
+                    }
+                    (Err(_), Err(_)) => {}
+                    (a, b) => panic!(
+                        "bandwidth decided validity: {} vs {}:\n{mapping}",
+                        a.is_ok(),
+                        b.is_ok()
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Bandwidth saturates at the compute bound: the NoC and DRAM
+    /// rooflines of valid evaluations shrink by the factor their
+    /// bandwidths are raised, so with both raised past twice either
+    /// roofline's ratio to compute, compute binds.
+    #[test]
+    fn bandwidth_saturates_at_compute_bound(layer in arb_layer(), seed in 0u64..1 << 32) {
+        let model = CostModel::new();
+        let mut seed = seed;
+        for accel in baselines::all() {
+            for mapping in mappings_for(&layer, &accel, &mut seed) {
+                let Ok(a) = model.evaluate(&layer, &accel, &mapping) else {
+                    continue;
+                };
+                let factor =
+                    2.0 * (a.noc_cycles.max(a.dram_cycles) / a.compute_cycles as f64).max(1.0);
+                let b = model
+                    .evaluate(&layer, &scale_bandwidth(&accel, factor, factor), &mapping)
+                    .expect("bandwidth does not decide validity");
+                prop_assert_eq!(b.compute_cycles, a.compute_cycles);
+                for (slow, quick) in [(a.noc_cycles, b.noc_cycles), (a.dram_cycles, b.dram_cycles)] {
+                    prop_assert!(
+                        (quick * factor - slow).abs() <= 1e-9 * slow,
+                        "roofline {slow} did not shrink {factor}x: {quick}"
+                    );
+                    prop_assert!(
+                        quick <= b.compute_cycles as f64,
+                        "roofline {quick} still above compute {}", b.compute_cycles
+                    );
+                }
+            }
+        }
+    }
+
+    /// Energy is bandwidth-invariant: with the NoC and DRAM bandwidths of
+    /// every baseline scaled by any factors, valid evaluations of the
+    /// balanced mapping and random decodes keep their energy and traffic
+    /// bit for bit.
+    #[test]
+    fn energy_is_bandwidth_invariant(
+        layer in arb_layer(),
+        seed in 0u64..1 << 32,
+        noc in 0.25f64..256.0,
+        dram in 0.25f64..256.0,
+    ) {
+        let model = CostModel::new();
+        let mut seed = seed;
+        for accel in baselines::all() {
+            let scaled = scale_bandwidth(&accel, noc, dram);
+            for mapping in mappings_for(&layer, &accel, &mut seed) {
+                let Ok(a) = model.evaluate(&layer, &accel, &mapping) else {
+                    continue;
+                };
+                let b = model
+                    .evaluate(&layer, &scaled, &mapping)
+                    .expect("bandwidth does not decide validity");
+                prop_assert_eq!(b.energy_pj.to_bits(), a.energy_pj.to_bits());
+                prop_assert_eq!(b.traffic, a.traffic);
             }
         }
     }

@@ -10,11 +10,8 @@
 //! other search sharing the cache — reuses mapping-search results
 //! whenever a (design, shape) pair recurs.
 //!
-//! This generalizes the single-call `LayerCache` of
-//! `naas::layer_cache` (which lives and dies inside one
-//! `network_mapping_search` call) to the whole co-search: the cache is
-//! `Sync`, shared across worker threads, and hit/miss/entry counts are
-//! exported for checkpoints and reports.
+//! The cache is `Sync` and shared across worker threads, and its
+//! hit/miss/entry counts are exported for checkpoints and metrics.
 //!
 //! Correctness requires the cached value to be a pure function of the
 //! key. The engine achieves that by deriving inner-search seeds from the
@@ -598,6 +595,42 @@ mod tests {
     fn same_shape_same_key_distinct_fingerprints() {
         assert_eq!(key(4, 4), key(4, 4));
         assert_ne!(key(4, 4).fingerprint(), key(4, 5).fingerprint());
+    }
+
+    #[test]
+    fn same_shape_same_key_different_name() {
+        let a = ConvSpec::conv2d("a", 64, 64, (56, 56), (3, 3), 1, 1).unwrap();
+        let b = ConvSpec::conv2d("b", 64, 64, (56, 56), (3, 3), 1, 1).unwrap();
+        assert_eq!(LayerKey::of(&a), LayerKey::of(&b));
+        assert_eq!(
+            LayerKey::of(&a).fingerprint(),
+            LayerKey::of(&b).fingerprint()
+        );
+    }
+
+    #[test]
+    fn different_stride_different_key() {
+        let a = ConvSpec::conv2d("a", 64, 64, (56, 56), (3, 3), 1, 1).unwrap();
+        let b = ConvSpec::conv2d("b", 64, 64, (56, 56), (3, 3), 2, 1).unwrap();
+        assert_ne!(LayerKey::of(&a), LayerKey::of(&b));
+        assert_ne!(
+            LayerKey::of(&a).fingerprint(),
+            LayerKey::of(&b).fingerprint()
+        );
+    }
+
+    #[test]
+    fn resnet_dedupes_substantially() {
+        // Repeated shapes collapse: ResNet-50 has under half as many
+        // distinct keys as layers.
+        let net = naas_ir::models::resnet50(224);
+        let keys: HashSet<LayerKey> = net.iter().map(LayerKey::of).collect();
+        assert!(
+            keys.len() * 2 < net.len(),
+            "expected ≥2× dedup: {} shapes for {} layers",
+            keys.len(),
+            net.len()
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Debug)]
@@ -91,35 +91,10 @@ pub fn load<T: Deserialize>(path: &Path) -> Result<T, CheckpointError> {
     Ok(serde_json::from_str(&text)?)
 }
 
-/// When and where a search writes checkpoints.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Target file.
-    pub path: PathBuf,
-    /// Save every `every` completed iterations (`1` = every iteration);
-    /// a final checkpoint is always written when the search completes.
-    pub every: usize,
-}
-
-impl CheckpointPolicy {
-    /// Checkpoints to `path` after every iteration.
-    pub fn every_iteration(path: impl Into<PathBuf>) -> Self {
-        CheckpointPolicy {
-            path: path.into(),
-            every: 1,
-        }
-    }
-
-    /// `true` if a checkpoint is due after completing `iteration`
-    /// (0-based).
-    pub fn due_after(&self, iteration: usize) -> bool {
-        self.every > 0 && (iteration + 1).is_multiple_of(self.every)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct State {
@@ -208,18 +183,5 @@ mod tests {
         // The staging file was consumed by the rename.
         assert!(!stale.exists());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn policy_cadence() {
-        let p = CheckpointPolicy {
-            path: "x.json".into(),
-            every: 3,
-        };
-        assert!(!p.due_after(0));
-        assert!(!p.due_after(1));
-        assert!(p.due_after(2));
-        assert!(p.due_after(5));
-        assert!(CheckpointPolicy::every_iteration("y.json").due_after(0));
     }
 }

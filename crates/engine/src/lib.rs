@@ -62,7 +62,7 @@ pub mod service;
 pub mod telemetry;
 
 pub use cache::{CacheSnapshot, CacheStats, LayerKey, MemoCache};
-pub use checkpoint::{CheckpointError, CheckpointPolicy};
+pub use checkpoint::CheckpointError;
 pub use fingerprint::{derive_seed, fingerprint};
 pub use pool::{parallel_map, resolve_threads};
 pub use remote::{RemoteError, RemoteWorker};
@@ -73,7 +73,6 @@ pub use telemetry::{EventLog, Level, Metrics, MetricsSnapshot};
 /// Convenience re-exports for engine users.
 pub mod prelude {
     pub use crate::cache::{CacheSnapshot, CacheStats, LayerKey, MemoCache};
-    pub use crate::checkpoint::CheckpointPolicy;
     pub use crate::fingerprint::{derive_seed, fingerprint};
     pub use crate::pool::{parallel_map, resolve_threads};
     pub use crate::scenario::{EvalJob, NetworkSpec, Scenario};

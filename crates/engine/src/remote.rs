@@ -309,7 +309,8 @@ impl RemoteWorker {
         }
     }
 
-    /// Waits up to `tick` for the next pipelined reply.
+    /// Waits up to `tick` for the next pipelined reply. A reply already
+    /// in the read buffer returns at once, without reading the socket.
     ///
     /// Returns `Ok(None)` when the tick expires first (or nothing is in
     /// flight) — partial data already read is kept, so ticking is free —
@@ -361,34 +362,6 @@ impl RemoteWorker {
                 Err(e)
             }
         }
-    }
-
-    /// Claims the next pipelined reply only if one has **already
-    /// arrived** — a full response line sitting in the read buffer.
-    /// Never blocks on the socket: this is the event-driven fast path
-    /// of the scheduler's worker loop, letting a worker thread drain
-    /// every reply that has landed before paying a blocking tick on
-    /// [`RemoteWorker::recv_next`].
-    ///
-    /// Returns `Ok(None)` when nothing is in flight or the next reply
-    /// has not fully arrived.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RemoteWorker::recv_next`].
-    pub fn recv_ready(&mut self) -> Result<PipelinedReply, RemoteError> {
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        let ready = self
-            .conn
-            .as_ref()
-            .is_some_and(|c| c.reader.buffer().contains(&b'\n'));
-        if !ready {
-            return Ok(None);
-        }
-        // The line completes from the buffer, so the tick never runs.
-        self.recv_next(Duration::from_micros(1))
     }
 
     /// Sends one request (`cmd` plus `params`, with a fresh numeric `id`)

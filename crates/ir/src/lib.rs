@@ -26,9 +26,7 @@ pub mod dims;
 pub mod layer;
 pub mod models;
 pub mod network;
-pub mod stats;
 
 pub use dims::{Dim, DimVec, DIMS};
 pub use layer::{ConvKind, ConvSpec, ShapeError};
 pub use network::Network;
-pub use stats::{LayerStats, NetworkStats};

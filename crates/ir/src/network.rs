@@ -34,14 +34,6 @@ impl Network {
         }
     }
 
-    /// Creates a network from a prebuilt layer list.
-    pub fn from_layers(name: impl Into<String>, layers: Vec<ConvSpec>) -> Self {
-        Network {
-            name: name.into(),
-            layers,
-        }
-    }
-
     /// Network name.
     pub fn name(&self) -> &str {
         &self.name

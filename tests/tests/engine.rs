@@ -139,8 +139,8 @@ fn checkpoint_roundtrip_resumes_identically() {
     assert_eq!(resumed.evaluations, reference.evaluations);
 }
 
-/// A checkpoint written through a `CheckpointPolicy` during
-/// `search_accelerator_with` is loadable and resumable mid-flight.
+/// The checkpoint `search_accelerator_with` writes after every
+/// generation is loadable and holds the completed state at the end.
 #[test]
 fn policy_checkpoints_are_resumable() {
     let model = CostModel::new();
@@ -154,9 +154,8 @@ fn policy_checkpoints_are_resumable() {
         "naas-engine-policy-{}.ckpt.json",
         std::process::id()
     ));
-    let policy = naas_engine::CheckpointPolicy::every_iteration(&path);
     let engine = CoSearchEngine::new(cfg.threads);
-    let full = search_accelerator_with(&engine, &model, nets, &envelope, &cfg, &[], Some(&policy));
+    let full = search_accelerator_with(&engine, &model, nets, &envelope, &cfg, &[], Some(&path));
 
     // The last checkpoint on disk is the completed state.
     let final_state: AccelSearchState = checkpoint::load(&path).expect("checkpoint exists");
